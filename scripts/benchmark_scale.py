@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Time the solver across instance sizes.
 
-The dominant cost is the stage-two optimum assembly, whose table recurrence
-is cubic in the smaller dimension and quadratic in the truncation order, so
-doubling the size should cost roughly a factor of thirty; the timings give
-a quick sanity check of that trend plus the absolute wall at the sizes we
-care about (a 50x50 instance should stay well under half a minute).
+Stars and Karp cycle means are cubic in their order (m or n); the
+stage-two form tables take O(p^2) matrix-vector steps, p = min(m, n), at
+orders m and n, which is quartic on square instances.  Doubling a square size should therefore
+cost between eight and sixteen times as much once per-call overhead stops
+dominating; the timings give a quick sanity check of that trend plus the
+absolute wall at the sizes we care about, up to the 70x70 reference size.
 """
 
 import argparse
@@ -35,7 +36,7 @@ def run(size: int, seed: int) -> float:
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--sizes", type=int, nargs="+", default=[5, 10, 20, 50])
+    parser.add_argument("--sizes", type=int, nargs="+", default=[5, 10, 20, 50, 70])
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     for size in args.sizes:

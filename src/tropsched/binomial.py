@@ -10,13 +10,20 @@ The cells satisfy T[k, l] = A T[k-1, l] + B T[k, l-1] with boundaries
 T[k, 0] = A^k and T[0, l] = I + B + ... + B^l; filling the triangle
 k + l <= p costs O(n^3 p^2) scalar operations.  Because every product in
 cell (k, l) carries exactly k A-factors, the table separates the terms of
-the truncated power sum of (A + B) by A-degree, which is what the
-stage-two optimum assembly needs.
+the truncated power sum of (A + B) by A-degree.
+
+The stage-two pipeline uses only the vector forms (``form_columns``),
+which propagate the triangle on one right-hand vector at O(n^2 p^2).  The
+matrix table (``build_table`` and the power, trace and per-degree trace
+sums built on it) is library surface and the reference the tests check
+the pipeline's stage-two term families against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import TropMatrix, mat_add, mat_mul, trace
@@ -111,6 +118,42 @@ def weighted_trace_terms(
     return {k: trace(table.cell(k, p - k)) for k in range(1, p + 1)}
 
 
+def form_columns(
+    p_mat: TropMatrix, q_mat: TropMatrix, rhs: TropMatrix, p: int
+) -> TropMatrix:
+    """The anti-diagonal T[k, p-k] . rhs, k = 0..p, as the columns of a matrix.
+
+    Only right-multiplied table columns are needed, so the triangle is
+    propagated on vectors: e[k, l] = P e[k-1, l] + Q e[k, l-1] with
+    e[k, 0] = P^k rhs and e[0, l] = (I + Q + ... + Q^l) rhs.  This avoids
+    materialising matrix cells and costs O(n^2 p^2).  Each step is one
+    max-plus matrix-vector product on the raw arrays, with the same sums
+    as ``mat_mul``.  Column k of the d x (p+1) result is T[k, p-k] . rhs;
+    a row vector times it gives every per-degree bilinear form at once.
+    """
+    d = _check_pair(p_mat, q_mat)
+    if p < 1:
+        raise ValueError("truncation order p must be >= 1")
+    if rhs.cols != 1 or rhs.rows != d:
+        raise DimensionMismatch(f"form requires a {d}x1 rhs, got {rhs.shape}")
+    pw, qw = p_mat.raw, q_mat.raw
+    out = np.empty((d, p + 1))
+    # row[l] holds e[k, l] for the current k, l = 0..p-k.
+    row = np.empty((p + 1, d))
+    cur = rhs.raw[:, 0]
+    row[0] = cur
+    for l in range(1, p + 1):
+        cur = (qw + cur).max(axis=1)
+        row[l] = np.maximum(row[l - 1], cur)
+    out[:, 0] = row[p]
+    for k in range(1, p + 1):
+        row[0] = (pw + row[0]).max(axis=1)
+        for l in range(1, p - k + 1):
+            row[l] = np.maximum((pw + row[l]).max(axis=1), (qw + row[l - 1]).max(axis=1))
+        out[:, k] = row[p - k]
+    return TropMatrix._wrap(out)
+
+
 def weighted_form_terms(
     lhs: TropMatrix,
     p_mat: TropMatrix,
@@ -118,34 +161,11 @@ def weighted_form_terms(
     rhs: TropMatrix,
     p: int,
 ) -> dict[int, TropValue]:
-    """Per-degree bilinear forms lhs . T[k, p-k] . rhs for k = 0..p.
-
-    Only the right-multiplied table columns T[k, l] . rhs are needed, so
-    the triangle is propagated on vectors: e[k, l] = P e[k-1, l] + Q e[k, l-1]
-    with e[k, 0] = P^k rhs and e[0, l] = (I + Q + ... + Q^l) rhs.  This
-    avoids materialising matrix cells and costs O(n^2 p^2).
-    """
-    d = _check_pair(p_mat, q_mat)
-    if p < 1:
-        raise ValueError("truncation order p must be >= 1")
-    if lhs.rows != 1 or lhs.cols != d or rhs.cols != 1 or rhs.rows != d:
+    """Per-degree bilinear forms lhs . T[k, p-k] . rhs for k = 0..p."""
+    columns = form_columns(p_mat, q_mat, rhs, p)
+    if lhs.rows != 1 or lhs.cols != columns.rows:
         raise DimensionMismatch(
-            f"form requires 1x{d} lhs and {d}x1 rhs, got {lhs.shape} and {rhs.shape}"
+            f"form requires a 1x{columns.rows} lhs, got {lhs.shape}"
         )
-    e: dict[tuple[int, int], TropMatrix] = {(0, 0): rhs}
-    acc = rhs
-    cur = rhs
-    for l in range(1, p + 1):
-        cur = mat_mul(q_mat, cur)
-        acc = mat_add(acc, cur)
-        e[(0, l)] = acc
-    for k in range(1, p + 1):
-        e[(k, 0)] = mat_mul(p_mat, e[(k - 1, 0)])
-        for l in range(1, p - k + 1):
-            e[(k, l)] = mat_add(
-                mat_mul(p_mat, e[(k - 1, l)]), mat_mul(q_mat, e[(k, l - 1)])
-            )
-    out: dict[int, TropValue] = {}
-    for k in range(0, p + 1):
-        out[k] = mat_mul(lhs, e[(k, p - k)]).entry(0, 0)
-    return out
+    forms = mat_mul(lhs, columns)
+    return {k: forms.entry(0, k) for k in range(p + 1)}

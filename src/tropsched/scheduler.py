@@ -5,7 +5,9 @@ the schedule set minimising the maximum lateness of the first project;
 stage two minimises the second project's maximum lateness over that set.
 Both optima come out in closed form: the stage-one value mu joins a cycle
 mean with root-scaled boundary-path weights, and the stage-two value eta
-joins four families of degree-separated trace and bilinear-form terms.
+joins four term families.  Its cycle family is the maximum cycle mean of
+Q* P (one star and one Karp pass at order min(m, n)); the other three are
+root-scaled, degree-separated bilinear forms.
 The full solution set is a pair of star generators acting on parameters
 ranging over a box, with at most m + n + 1 extreme schedules.
 
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binomial import weighted_form_terms, weighted_trace_terms
+from .binomial import form_columns
 from .errors import (
     InternalConsistency,
     InvalidInstance,
@@ -338,47 +340,52 @@ def eta_term_families(
 ) -> dict[str, TropValue]:
     """The stage-two optimum split into its four term families.
 
-    cycle_traces: root-scaled traces of mixed products of P and Q (the two
-    projects' lag interactions); worker_release: bilinear forms from the
-    release times g; task_deadline: forms from the earliest finish times q;
-    lateness_chain: forms through the second project's start-finish lags A.
+    cycle_traces: the largest ratio of weight to P-arc count over closed
+    walks in the graph of P + Q (the two projects' lag interactions);
+    worker_release: bilinear forms from the release times g; task_deadline:
+    forms from the earliest finish times q; lateness_chain: forms through
+    the second project's start-finish lags A.
+
+    The cycle term is the maximum cycle mean of Q* P.  Proof: tr T[k, p-k]
+    is the heaviest closed walk of length <= p with exactly k P-arcs, and
+    every pure-Q cycle is non-positive, so the join of their k-th roots is
+    the best elementary-cycle ratio, which is the cycle mean of Q* P.  When
+    m > n the same holds for S* R, which keeps the order at min(m, n).
+
+    Requires a passing stage-two condition (``check_stage2_feasibility``):
+    the star of Q (or S) raises StarDiverges on a positive cycle.
     """
     hc = conjugate(inst.h)
     rc = conjugate(inst.r)
     k_max = min(inst.m, inst.n)
 
     if inst.m <= inst.n:
-        trace_terms = weighted_trace_terms(dm.P, dm.Q, k_max)
+        cycle = spectral_radius(mat_mul(kleene_star(dm.Q), dm.P))
     else:
-        trace_terms = weighted_trace_terms(dm.R, dm.S, k_max)
-    cycle = t_join(
-        _pow_or_zero(term, 1.0 / k) for k, term in trace_terms.items()
-    )
+        cycle = spectral_radius(mat_mul(kleene_star(dm.S), dm.R))
 
+    # worker_release and lateness_chain contract the same (R, S, g) forms.
+    g_forms = form_columns(dm.R, dm.S, inst.g, k_max)
+    q_forms = form_columns(dm.P, dm.Q, inst.q, k_max)
     lhs_g = mat_add(mat_mul(rc, dm.C1), hc)  # 1 x n
-    g_terms = weighted_form_terms(lhs_g, dm.R, dm.S, inst.g, k_max)
-    release = t_join(
-        _pow_or_zero(g_terms[k], 1.0 / k) for k in range(1, k_max + 1)
-    )
-
     lhs_q = mat_add(mat_mul(hc, dm.D1conj), rc)  # 1 x m
-    q_terms = weighted_form_terms(lhs_q, dm.P, dm.Q, inst.q, k_max)
-    deadline = t_join(
-        _pow_or_zero(q_terms[k], 1.0 / k) for k in range(1, k_max + 1)
-    )
-
     lhs_a = mat_mul(rc, inst.A)  # 1 x n
-    a_terms = weighted_form_terms(lhs_a, dm.R, dm.S, inst.g, k_max)
-    lateness = t_join(
-        _pow_or_zero(a_terms[k], 1.0 / (k + 1)) for k in range(0, k_max + 1)
-    )
 
     return {
         "cycle_traces": cycle,
-        "worker_release": release,
-        "task_deadline": deadline,
-        "lateness_chain": lateness,
+        "worker_release": _rooted_join(mat_mul(lhs_g, g_forms), 0),
+        "task_deadline": _rooted_join(mat_mul(lhs_q, q_forms), 0),
+        "lateness_chain": _rooted_join(mat_mul(lhs_a, g_forms), 1),
     }
+
+
+def _rooted_join(forms: TropMatrix, offset: int) -> TropValue:
+    # Join of the (k + offset)-th roots of the 1 x (p+1) per-degree forms,
+    # over the degrees k where k + offset >= 1.
+    return t_join(
+        _pow_or_zero(forms.entry(0, k), 1.0 / (k + offset))
+        for k in range(1 - offset, forms.cols)
+    )
 
 
 def compute_eta(dm: DerivedMatrices, inst: ProblemInstance) -> TropValue:
