@@ -71,6 +71,7 @@ from .scheduler import (
     mu_term_families,
     solution_set,
     solve,
+    solve_stage1,
     stage1_solution_check,
     stage2_solution_check,
 )

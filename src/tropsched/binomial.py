@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import TropMatrix, mat_add, mat_mul, trace
-from .semiring import TropValue, t_add
+from .semiring import TropValue
 
 
 def _check_pair(a: TropMatrix, b: TropMatrix) -> int:
@@ -90,18 +90,8 @@ def binomial_power_sum(a: TropMatrix, b: TropMatrix, p: int) -> TropMatrix:
 
 
 def binomial_trace_sum(a: TropMatrix, b: TropMatrix, p: int) -> TropValue:
-    """Join of tr (A + B)^k for k = 1..p."""
-    _check_pair(a, b)
-    table = build_table(a, b, p)
-    out = TropValue.zero()
-    for k in range(1, p + 1):
-        out = t_add(out, trace(table.cell(k, p - k)))
-    b_power = b
-    out = t_add(out, trace(b_power))
-    for _ in range(p - 1):
-        b_power = mat_mul(b_power, b)
-        out = t_add(out, trace(b_power))
-    return out
+    """Join of tr (A + B)^k for k = 1..p: the trace of the power sum."""
+    return trace(binomial_power_sum(a, b, p))
 
 
 def weighted_trace_terms(

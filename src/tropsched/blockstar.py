@@ -4,8 +4,11 @@ A square matrix of order p + q with zero diagonal blocks and off-diagonal
 blocks B (upper right, p x q) and C (lower left, q x p) has all its cycles
 alternating between the two blocks, so its even powers are block diagonal
 in (BC)^k and (CB)^k and its odd powers have zero diagonal blocks.  Trace
-function and star therefore reduce to powers of the product of the smaller
-order, cutting an (p+q)-order computation down to min(p, q)-order ones.
+function and star therefore reduce to the block product of the smaller
+order: the star is one closure of that product plus four block products,
+cutting an (p+q)-order closure down to a min(p, q)-order one.  The
+double-inequality solver takes a SkewBlock directly, and both stages of
+the scheduler go through it.
 """
 
 from __future__ import annotations
@@ -14,13 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, StarDiverges
-from .linalg import TropMatrix, mat_add, mat_mul, trace
-from .semiring import TropValue, t_add
-
-_NEG_INF = float("-inf")
-
-_STAR_TOL = 1e-9
+from .errors import DimensionMismatch
+from .linalg import TropMatrix, kleene_star, mat_add, mat_mul, trace_function
+from .semiring import TropValue
 
 
 @dataclass(frozen=True)
@@ -45,13 +44,22 @@ class SkewBlock:
         return self.B.rows + self.B.cols
 
 
+def _from_blocks(
+    ul: TropMatrix, ur: TropMatrix, ll: TropMatrix, lr: TropMatrix
+) -> TropMatrix:
+    return TropMatrix._wrap(np.block([[ul.raw, ur.raw], [ll.raw, lr.raw]]))
+
+
 def assemble(sb: SkewBlock) -> TropMatrix:
     """Materialise the full (p+q)-order matrix (mainly for cross-checks)."""
     p, q = sb.B.shape
-    data = np.full((p + q, p + q), _NEG_INF)
-    data[:p, p:] = sb.B.raw
-    data[p:, :p] = sb.C.raw
-    return TropMatrix._wrap(data)
+    return _from_blocks(TropMatrix.zeros(p, p), sb.B, sb.C, TropMatrix.zeros(q, q))
+
+
+def _core(sb: SkewBlock) -> TropMatrix:
+    # The smaller of the two block products, BC (p x p) or CB (q x q).
+    p, q = sb.B.shape
+    return mat_mul(sb.B, sb.C) if p <= q else mat_mul(sb.C, sb.B)
 
 
 def skew_trace(sb: SkewBlock) -> TropValue:
@@ -63,61 +71,27 @@ def skew_trace(sb: SkewBlock) -> TropValue:
     compare the result against the unit themselves, which keeps the
     violating value available for diagnostics.
     """
-    p, q = sb.B.shape
-    core = mat_mul(sb.B, sb.C) if p <= q else mat_mul(sb.C, sb.B)
-    best = trace(core)
-    power = core
-    for _ in range(min(p, q) - 1):
-        power = mat_mul(power, core)
-        best = t_add(best, trace(power))
-    return best
+    return trace_function(_core(sb))
 
 
 def skew_star(sb: SkewBlock) -> TropMatrix:
     """Kleene star of the assembled matrix, computed blockwise.
 
-    The star blocks are the joins over k = 0..min(p, q) of (BC)^k,
-    (BC)^k B, C (BC)^k and the identity join C (BC)^(k-1) B, all driven by
-    powers of the smaller of BC and CB.
+    Paths alternate between the blocks, so with K = (BC)* the star is
+    [[K, K B], [C K, I + C K B]], and symmetrically through (CB)* when C B
+    is the smaller product.  The single closure is the star of the smaller
+    block product; a positive cycle raises StarDiverges carrying the trace
+    function of that product, which equals ``skew_trace``.
     """
     p, q = sb.B.shape
-    tr_value = skew_trace(sb)
-    if tr_value.raw > _STAR_TOL:
-        raise StarDiverges(
-            f"skew star diverges: trace function value {tr_value.raw}", tr_value
-        )
-    k_max = min(p, q)
     if p <= q:
-        core = mat_mul(sb.B, sb.C)  # p x p
-        partial = TropMatrix.identity(p)  # join of core^k, k <= k_max - 1
-        power = TropMatrix.identity(p)
-        for _ in range(k_max - 1):
-            power = mat_mul(power, core)
-            partial = mat_add(partial, power)
-        full = mat_add(partial, mat_mul(power, core))  # k <= k_max
-        ul = full
-        ur = mat_mul(full, sb.B)
-        ll = mat_mul(sb.C, full)
-        lr = mat_add(
-            TropMatrix.identity(q), mat_mul(mat_mul(sb.C, partial), sb.B)
-        )
+        ul = kleene_star(_core(sb))  # (BC)*
+        ur = mat_mul(ul, sb.B)
+        ll = mat_mul(sb.C, ul)
+        lr = mat_add(TropMatrix.identity(q), mat_mul(ll, sb.B))
     else:
-        core = mat_mul(sb.C, sb.B)  # q x q
-        partial = TropMatrix.identity(q)
-        power = TropMatrix.identity(q)
-        for _ in range(k_max - 1):
-            power = mat_mul(power, core)
-            partial = mat_add(partial, power)
-        full = mat_add(partial, mat_mul(power, core))
-        lr = full
-        ll = mat_mul(full, sb.C)
-        ur = mat_mul(sb.B, full)
-        ul = mat_add(
-            TropMatrix.identity(p), mat_mul(mat_mul(sb.B, partial), sb.C)
-        )
-    data = np.full((p + q, p + q), _NEG_INF)
-    data[:p, :p] = ul.raw
-    data[:p, p:] = ur.raw
-    data[p:, :p] = ll.raw
-    data[p:, p:] = lr.raw
-    return TropMatrix._wrap(data)
+        lr = kleene_star(_core(sb))  # (CB)*
+        ll = mat_mul(lr, sb.C)
+        ur = mat_mul(sb.B, lr)
+        ul = mat_add(TropMatrix.identity(p), mat_mul(ur, sb.C))
+    return _from_blocks(ul, ur, ll, lr)

@@ -5,30 +5,37 @@ column-regular A and regular d, where ``~`` is the conjugate.  The double
 inequality ``A x + b <= x <= d`` has regular solutions exactly when
 Delta = Tr(A) + d~ A* b is at most the unit, in which case they are the
 star images A* w of parameters w in the box [b, (d~ A*)~].
+
+The solver builds the star first and reads Tr(A) off it: when the star
+converges, Tr(A) is the largest diagonal entry of A A*, and when it
+diverges, the star's error carries the trace function.  A skew block
+diagonal A may be passed as its two blocks (``SkewBlock``), whose star
+costs one closure of the smaller block product; both scheduling stages
+and the solution set are solved this way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .blockstar import SkewBlock, assemble, skew_star
 from .errors import (
     DimensionMismatch,
     InternalConsistency,
     NotColumnRegular,
     NotRegularVector,
+    StarDiverges,
 )
 from .linalg import (
+    FEASIBILITY_TOL,
     TropMatrix,
     conjugate,
     is_column_regular,
     is_regular,
     kleene_star,
     mat_mul,
-    trace_function,
 )
 from .semiring import TropValue, t_add
-
-FEASIBILITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -38,8 +45,8 @@ class BoxSolutionSet:
     When ``delta`` is at most the unit (within tolerance) every
     x = generator @ w with lower <= w <= upper solves the inequality, and
     there are no other regular solutions.  Otherwise there is no regular
-    solution; generator/upper are then None and delta carries the
-    violating value.
+    solution; upper is then None (generator too, when the star diverges)
+    and delta carries the violating value.
     """
 
     generator: TropMatrix | None
@@ -70,21 +77,29 @@ def solve_upper_bound(a: TropMatrix, d: TropMatrix) -> TropMatrix:
 
 
 def solve_double_inequality(
-    a: TropMatrix, b: TropMatrix, d: TropMatrix
+    a: TropMatrix | SkewBlock, b: TropMatrix, d: TropMatrix
 ) -> BoxSolutionSet:
-    """Complete solution of ``A x + b <= x <= d`` (infeasibility is data)."""
-    if a.rows != a.cols:
-        raise DimensionMismatch(f"A must be square, got {a.shape}")
-    if not b.is_vector or b.rows != a.rows:
-        raise DimensionMismatch(f"b must be a {a.rows}-vector, got {b.shape}")
-    _require_regular_vector(d, "d")
-    if d.rows != a.rows:
-        raise DimensionMismatch(f"d must be a {a.rows}-vector, got {d.shape}")
+    """Complete solution of ``A x + b <= x <= d`` (infeasibility is data).
 
-    tr = trace_function(a)
-    if tr.raw > FEASIBILITY_TOL:
-        return BoxSolutionSet(generator=None, lower=b, upper=None, delta=tr)
-    star = kleene_star(a)
+    A skew block diagonal A given as a SkewBlock gets its star blockwise.
+    """
+    full = assemble(a) if isinstance(a, SkewBlock) else a
+    if full.rows != full.cols:
+        raise DimensionMismatch(f"A must be square, got {full.shape}")
+    if not b.is_vector or b.rows != full.rows:
+        raise DimensionMismatch(f"b must be a {full.rows}-vector, got {b.shape}")
+    _require_regular_vector(d, "d")
+    if d.rows != full.rows:
+        raise DimensionMismatch(f"d must be a {full.rows}-vector, got {d.shape}")
+
+    try:
+        star = skew_star(a) if isinstance(a, SkewBlock) else kleene_star(a)
+    except StarDiverges as exc:
+        return BoxSolutionSet(
+            generator=None, lower=b, upper=None, delta=exc.trace_value
+        )
+    # Tr(A) is the heaviest cycle, i.e. the largest diagonal entry of A A*.
+    tr = TropValue.from_raw(float((full.raw + star.raw.T).max()))
     d_conj_star = mat_mul(conjugate(d), star)  # 1 x n
     delta = t_add(tr, mat_mul(d_conj_star, b).entry(0, 0))
     if delta.raw > FEASIBILITY_TOL:

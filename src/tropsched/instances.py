@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import TropMatrix
-from .scheduler import ProblemInstance, check_stage1_feasibility, solve
+from .scheduler import ProblemInstance, solve
 
 _NEG_INF = float("-inf")
 
@@ -23,6 +23,23 @@ def worked_example() -> ProblemInstance:
         h=TropMatrix.column([10]),
         q=TropMatrix.column([5]),
         r=TropMatrix.column([8]),
+    )
+
+
+def _from_arrays(a, b, c, d, g, h, q, r) -> ProblemInstance:
+    """Instance from m x n lag arrays and the four bound vectors."""
+    m, n = a.shape
+    return ProblemInstance(
+        m=m,
+        n=n,
+        A=TropMatrix(a),
+        B=TropMatrix(b),
+        C=TropMatrix(c),
+        D=TropMatrix(d),
+        g=TropMatrix.column(g),
+        h=TropMatrix.column(h),
+        q=TropMatrix.column(q),
+        r=TropMatrix.column(r),
     )
 
 
@@ -75,18 +92,7 @@ def random_instance(
     h = g + rng.integers(2, box_width + 1, size=n)
     q = rng.integers(0, 5, size=m).astype(float)
     r = q + rng.integers(2, box_width + 1, size=m)
-    return ProblemInstance(
-        m=m,
-        n=n,
-        A=TropMatrix(a),
-        B=TropMatrix(b),
-        C=TropMatrix(c),
-        D=TropMatrix(d),
-        g=TropMatrix.column(g),
-        h=TropMatrix.column(h),
-        q=TropMatrix.column(q),
-        r=TropMatrix.column(r),
-    )
+    return _from_arrays(a, b, c, d, g, h, q, r)
 
 
 def random_feasible_instance(
@@ -105,10 +111,7 @@ def random_feasible_instance(
             relaxed["tame_second_stage"] = True
             relaxed["box_width"] = max(8, int(relaxed.get("box_width", 6)))
         inst = random_instance(rng, m, n, **relaxed)
-        if not check_stage1_feasibility(inst)[0]:
-            continue
-        report = solve(inst)
-        if report.status == "optimal":
+        if solve(inst).status == "optimal":
             return inst
     raise RuntimeError(f"no feasible instance found in {max_tries} tries")
 
@@ -123,15 +126,4 @@ def random_scale_instance(rng: np.random.Generator, m: int, n: int) -> ProblemIn
     h = g + 1000.0
     q = rng.integers(0, 4, size=m).astype(float)
     r = q + 1000.0
-    return ProblemInstance(
-        m=m,
-        n=n,
-        A=TropMatrix(a),
-        B=TropMatrix(b),
-        C=TropMatrix(c),
-        D=TropMatrix(d),
-        g=TropMatrix.column(g),
-        h=TropMatrix.column(h),
-        q=TropMatrix.column(q),
-        r=TropMatrix.column(r),
-    )
+    return _from_arrays(a, b, c, d, g, h, q, r)

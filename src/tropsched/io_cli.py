@@ -32,13 +32,11 @@ from .scheduler import (
     ProblemInstance,
     ScheduleSolution,
     SolveReport,
-    StageOneResult,
-    check_stage1_feasibility,
     materialize,
-    mu_term_families,
     solve,
+    solve_stage1,
 )
-from .semiring import TropValue, t_join
+from .semiring import TropValue
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -117,18 +115,12 @@ def parse_instance(path: str) -> ProblemInstance:
 
 
 def instance_to_dict(inst: ProblemInstance) -> dict:
-    return {
-        "m": inst.m,
-        "n": inst.n,
-        "A": inst.A.to_rows(),
-        "B": inst.B.to_rows(),
-        "C": inst.C.to_rows(),
-        "D": inst.D.to_rows(),
-        "g": _vector_to_list(inst.g),
-        "h": _vector_to_list(inst.h),
-        "q": _vector_to_list(inst.q),
-        "r": _vector_to_list(inst.r),
-    }
+    doc: dict[str, Any] = {"m": inst.m, "n": inst.n}
+    for name in _INSTANCE_MATRIX_FIELDS:
+        doc[name] = getattr(inst, name).to_rows()
+    for name in _INSTANCE_VECTOR_FIELDS:
+        doc[name] = _vector_to_list(getattr(inst, name))
+    return doc
 
 
 def write_instance(inst: ProblemInstance, path: str) -> None:
@@ -275,7 +267,7 @@ def _emit(doc: dict, args) -> None:
 
 def _finish(report: SolveReport, doc: dict, args) -> int:
     _emit(doc, args)
-    if report.status != "optimal":
+    if report.status not in ("optimal", "stage1_solved"):
         value = (
             report.stage1.feasibility_value
             if not report.stage1.feasible
@@ -292,31 +284,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_stage1(args) -> int:
-    inst = parse_instance(args.instance)
-    feasible, value = check_stage1_feasibility(inst)
-    if feasible:
-        terms = mu_term_families(inst)
-        stage1 = StageOneResult(True, t_join(terms.values()), value)
-    else:
-        terms = None
-        stage1 = StageOneResult(False, None, value)
-    report = SolveReport(
-        instance=inst,
-        stage1=stage1,
-        stage1_terms=terms,
-        stage2_value=None,
-        stage2=None,
-        stage2_terms=None,
-    )
-    _emit(report_to_dict(report), args)
-    if not feasible:
-        print(f"infeasible: condition value {value.raw}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    return EXIT_OK
-
-
-def _cmd_extreme(args) -> int:
-    report = solve(parse_instance(args.instance))
+    report = solve_stage1(parse_instance(args.instance))
     return _finish(report, report_to_dict(report), args)
 
 
@@ -360,15 +328,7 @@ def _cmd_sample(args) -> int:
     inst = parse_instance(args.instance)
     report = solve(inst)
     if report.status != "optimal":
-        doc = report_to_dict(report, seed=args.seed)
-        _emit(doc, args)
-        value = (
-            report.stage1.feasibility_value
-            if not report.stage1.feasible
-            else report.stage2_value
-        )
-        print(f"infeasible: condition value {value.raw}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return _finish(report, report_to_dict(report, seed=args.seed), args)
     rng = np.random.default_rng(args.seed)
     s2 = report.stage2
     samples = []
@@ -381,8 +341,7 @@ def _cmd_sample(args) -> int:
         entry["v"] = [float(x) for x in v]
         samples.append(entry)
     doc = report_to_dict(report, samples=samples, seed=args.seed)
-    _emit(doc, args)
-    return EXIT_OK
+    return _finish(report, doc, args)
 
 
 # Parameters with a zero-element lower bound are sampled from a window of
@@ -409,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "solve": ("run the full two-stage pipeline", _cmd_solve),
         "stage1": ("solve the first stage only", _cmd_stage1),
         "verify": ("solve and cross-check against the grid oracle", _cmd_verify),
-        "extreme": ("solve and list extreme optimal schedules", _cmd_extreme),
+        "extreme": ("solve and list extreme optimal schedules", _cmd_solve),
         "sample": ("solve and materialise random optimal schedules", _cmd_sample),
     }
     for name, (help_text, func) in specs.items():

@@ -26,11 +26,12 @@ from .semiring import TropValue, t_add, t_pow
 
 _NEG_INF = float("-inf")
 
-# Positive cycle detection threshold: a diagonal entry of the path closure
-# above this is treated as a genuinely positive cycle mean.  Matches the
-# feasibility slack used by the solver so that optima sitting exactly on
-# the convergence boundary (up to root-taking noise) still get a star.
-DIVERGENCE_TOL = 1e-9
+# The one feasibility tolerance of the package: a condition value v passes
+# when v <= FEASIBILITY_TOL, and a diagonal entry of the path closure above
+# it is treated as a genuinely positive cycle.  Sharing it means optima
+# sitting exactly on the convergence boundary (up to root-taking noise)
+# still get a star; the inequality solver and the scheduler import it.
+FEASIBILITY_TOL = 1e-9
 
 # Above this many scalar ops the broadcast product is evaluated in row blocks.
 _MATMUL_BLOCK_LIMIT = 4_000_000
@@ -247,7 +248,7 @@ def kleene_star(a: TropMatrix) -> TropMatrix:
     m = a._data.copy()
     for k in range(n):
         np.maximum(m, m[:, k, None] + m[None, k, :], out=m)
-    if float(np.diagonal(m).max()) > DIVERGENCE_TOL:
+    if float(np.diagonal(m).max()) > FEASIBILITY_TOL:
         tr = trace_function(a)
         raise StarDiverges(f"star diverges: trace function value {tr.raw}", tr)
     np.fill_diagonal(m, np.maximum(np.diagonal(m), 0.0))

@@ -281,11 +281,8 @@ def _refined_search(
     return True, float(objective[0]), best_pt, history
 
 
-def grid_search_stage1(inst: ProblemInstance, spec: GridSpec | None = None) -> GridSearchResult:
-    """Brute-force minimum of the first project's maximum lateness."""
-    spec = spec or GridSpec()
-    ev = _StageEvaluator(inst, mu=None)
-    found, best, pt, history = _refined_search(ev, spec)
+def _grid_search(ev: _StageEvaluator, spec: GridSpec | None) -> GridSearchResult:
+    found, best, pt, history = _refined_search(ev, spec or GridSpec())
     if not found:
         return GridSearchResult(False, None, None, None, tuple(history))
     due = ev.due_dates(pt)
@@ -296,6 +293,11 @@ def grid_search_stage1(inst: ProblemInstance, spec: GridSpec | None = None) -> G
         TropMatrix.column(due),
         tuple(history),
     )
+
+
+def grid_search_stage1(inst: ProblemInstance, spec: GridSpec | None = None) -> GridSearchResult:
+    """Brute-force minimum of the first project's maximum lateness."""
+    return _grid_search(_StageEvaluator(inst, mu=None), spec)
 
 
 def grid_search_stage2(
@@ -303,16 +305,4 @@ def grid_search_stage2(
 ) -> GridSearchResult:
     """Brute-force minimum of the second project's maximum lateness over the
     stage-one optimal set described by the given mu."""
-    spec = spec or GridSpec()
-    ev = _StageEvaluator(inst, mu=float(mu.value))
-    found, best, pt, history = _refined_search(ev, spec)
-    if not found:
-        return GridSearchResult(False, None, None, None, tuple(history))
-    due = ev.due_dates(pt)
-    return GridSearchResult(
-        True,
-        TropValue(best),
-        TropMatrix.column(pt),
-        TropMatrix.column(due),
-        tuple(history),
-    )
+    return _grid_search(_StageEvaluator(inst, mu=float(mu.value)), spec)

@@ -11,25 +11,37 @@ root-scaled, degree-separated bilinear forms.
 The full solution set is a pair of star generators acting on parameters
 ranging over a box, with at most m + n + 1 extreme schedules.
 
+Both stage conditions and the solution set are one tool: the double
+inequality A z + b <= z <= d over z = (x, y), where A is skew block
+diagonal with the due-date-start lag conjugates in one block and the
+start-finish lags in the other, b = (g, q) and d = (h, r).  Stage one
+uses no start-finish block, stage two the mu-scaled first-project lags,
+and the solution set adds the eta-scaled second-project lags; each is a
+call to ``inequality.solve_double_inequality`` on a ``SkewBlock``, whose
+existence condition is the stage condition and whose star and box are
+the generators and the parameter box.
+
 All pipeline steps are pure functions over immutable inputs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .binomial import form_columns
+from .blockstar import SkewBlock
 from .errors import (
     InternalConsistency,
     InvalidInstance,
     ParameterOutOfBox,
     StageOneInfeasible,
     StageTwoInfeasible,
-    StarDiverges,
 )
+from .inequality import BoxSolutionSet, solve_double_inequality
 from .linalg import (
+    FEASIBILITY_TOL,
     TropMatrix,
     conjugate,
     is_regular,
@@ -38,17 +50,13 @@ from .linalg import (
     mat_mul,
     scalar_mul,
     spectral_radius,
-    trace_function,
 )
-from .semiring import TropValue, t_add, t_inv, t_join, t_pow
+from .semiring import TropValue, t_inv, t_join, t_pow
 
-# A feasibility condition value v passes when v <= FEASIBILITY_SLACK; the
-# slack absorbs representation error from root taking.  Values within
-# MARGINAL_BAND of the unit are flagged as marginal in reports.
-FEASIBILITY_SLACK = 1e-9
+# A feasibility condition value v passes when v <= FEASIBILITY_TOL (from
+# linalg); the slack absorbs representation error from root taking.  Values
+# within MARGINAL_BAND of the unit are flagged as marginal in reports.
 MARGINAL_BAND = 1e-7
-
-_NEG_INF = float("-inf")
 
 
 # -- data model --------------------------------------------------------------
@@ -174,27 +182,46 @@ def _conj_or_zero(mat: TropMatrix) -> TropMatrix:
     return conjugate(mat)
 
 
-def _scalar(mat: TropMatrix) -> TropValue:
-    return mat.entry(0, 0)
-
-
-def _vec_leq(a: TropMatrix, b: TropMatrix, slack: float = FEASIBILITY_SLACK) -> bool:
+def _vec_leq(a: TropMatrix, b: TropMatrix, slack: float = FEASIBILITY_TOL) -> bool:
     return bool((a.raw <= b.raw + slack).all())
+
+
+def _stack(top: TropMatrix, bottom: TropMatrix) -> TropMatrix:
+    return TropMatrix._wrap(np.vstack((top.raw, bottom.raw)))
+
+
+def _stage_box(
+    inst: ProblemInstance, d_conj: TropMatrix, c_block: TropMatrix
+) -> BoxSolutionSet:
+    # The system x >= d_conj y + g, y >= c_block x + q, x <= h, y <= r as
+    # one double inequality over z = (x, y).
+    return solve_double_inequality(
+        SkewBlock(d_conj, c_block), _stack(inst.g, inst.q), _stack(inst.h, inst.r)
+    )
+
+
+def _optimum(terms: dict[str, TropValue], stage: str) -> TropValue:
+    # Join of the term families; the zero element means nothing bounds the
+    # objective from below.
+    value = t_join(terms.values())
+    if value.is_zero:
+        raise InvalidInstance(
+            f"{stage} objective is unbounded below; the instance is degenerate"
+        )
+    return value
 
 
 # -- stage one ----------------------------------------------------------------
 
 
 def check_stage1_feasibility(inst: ProblemInstance) -> tuple[bool, TropValue]:
-    """Existence condition value for stage one and its verdict."""
-    hc = conjugate(inst.h)  # 1 x n
-    rc = conjugate(inst.r)  # 1 x m
-    dconj = _conj_or_zero(inst.D)  # n x m
-    value = t_add(
-        _scalar(mat_mul(hc, inst.g)),
-        _scalar(mat_mul(mat_add(mat_mul(hc, dconj), rc), inst.q)),
-    )
-    return value.raw <= FEASIBILITY_SLACK, value
+    """Existence condition value for stage one and its verdict.
+
+    Before mu is known no start-finish lag binds, so the skew block has the
+    conjugate of D and an all-zero block.
+    """
+    box = _stage_box(inst, _conj_or_zero(inst.D), TropMatrix.zeros(inst.m, inst.n))
+    return box.feasible, box.delta
 
 
 def mu_term_families(inst: ProblemInstance) -> dict[str, TropValue]:
@@ -214,51 +241,39 @@ def mu_term_families(inst: ProblemInstance) -> dict[str, TropValue]:
     core = (
         mat_mul(inst.C, dconj) if inst.m <= inst.n else mat_mul(dconj, inst.C)
     )
-    cycle_mean = spectral_radius(core)
-
-    release = TropValue.zero()
-    z = hc  # 1 x n, accumulates h~ (D~ C)^k
-    for k in range(1, k_max + 1):
-        z = mat_mul(mat_mul(z, dconj), inst.C)
-        release = t_add(release, _pow_or_zero(_scalar(mat_mul(z, inst.g)), 1.0 / k))
-
-    deadline = TropValue.zero()
-    w = mat_add(mat_mul(hc, dconj), rc)  # 1 x m, accumulates (h~ D~ + r~)(C D~)^k
-    for k in range(1, k_max + 1):
-        w = mat_mul(mat_mul(w, inst.C), dconj)
-        deadline = t_add(deadline, _pow_or_zero(_scalar(mat_mul(w, inst.q)), 1.0 / k))
-
-    finish = TropValue.zero()
-    f = mat_mul(rc, inst.C)  # 1 x n, accumulates r~ C (D~ C)^k
-    for k in range(0, k_max + 1):
-        finish = t_add(
-            finish, _pow_or_zero(_scalar(mat_mul(f, inst.g)), 1.0 / (k + 1))
-        )
-        f = mat_mul(mat_mul(f, dconj), inst.C)
+    # Degree-k forms h~ (D~ C)^k g, (h~ D~ + r~)(C D~)^k q and r~ C (D~ C)^k g.
+    release = _chain_forms(hc, dconj, inst.C, inst.g, k_max)
+    deadline_lhs = mat_add(mat_mul(hc, dconj), rc)
+    deadline = _chain_forms(deadline_lhs, inst.C, dconj, inst.q, k_max)
+    finish = _chain_forms(mat_mul(rc, inst.C), dconj, inst.C, inst.g, k_max)
 
     return {
-        "cycle_mean": cycle_mean,
-        "release_chain": release,
-        "deadline_chain": deadline,
-        "finish_chain": finish,
+        "cycle_mean": spectral_radius(core),
+        "release_chain": _rooted_join(release, 0),
+        "deadline_chain": _rooted_join(deadline, 0),
+        "finish_chain": _rooted_join(finish, 1),
     }
 
 
-def _pow_or_zero(v: TropValue, e: float) -> TropValue:
-    return TropValue.zero() if v.is_zero else t_pow(v, e)
+def _chain_forms(
+    lhs: TropMatrix, first: TropMatrix, second: TropMatrix, rhs: TropMatrix, k_max: int
+) -> TropMatrix:
+    # The 1 x (k_max + 1) row of forms lhs (first second)^k rhs, k = 0..k_max.
+    forms = np.empty((1, k_max + 1))
+    for k in range(k_max + 1):
+        forms[0, k] = mat_mul(lhs, rhs).raw[0, 0]
+        lhs = mat_mul(mat_mul(lhs, first), second)
+    return TropMatrix._wrap(forms)
 
 
 def compute_mu(inst: ProblemInstance) -> TropValue:
     """Optimal stage-one maximum lateness."""
-    feasible, value = check_stage1_feasibility(inst)
-    if not feasible:
-        raise StageOneInfeasible(f"stage one infeasible: condition value {value.raw}")
-    mu = t_join(mu_term_families(inst).values())
-    if mu.is_zero:
-        raise InvalidInstance(
-            "stage-one objective is unbounded below; the instance is degenerate"
+    stage1 = solve_stage1(inst).stage1
+    if not stage1.feasible:
+        raise StageOneInfeasible(
+            f"stage one infeasible: condition value {stage1.feasibility_value.raw}"
         )
-    return mu
+    return stage1.mu
 
 
 def stage1_solution_check(
@@ -266,7 +281,7 @@ def stage1_solution_check(
     mu: TropValue,
     u: TropMatrix,
     v: TropMatrix,
-    slack: float = FEASIBILITY_SLACK,
+    slack: float = FEASIBILITY_TOL,
 ) -> bool:
     """Whether (u, v) solves the stage-one problem at optimum mu."""
     dconj = _conj_or_zero(inst.D)
@@ -297,42 +312,12 @@ def derive_matrices(inst: ProblemInstance, mu: TropValue) -> DerivedMatrices:
     )
 
 
-def _stage2_stars(dm: DerivedMatrices, m: int, n: int) -> tuple[TropMatrix, TropMatrix]:
-    # Star of the smaller of Q and S by closure; the other via the identity
-    # S* = I + D1~ Q* C1 (and symmetrically), which keeps the cubic cost on
-    # the smaller order.
-    if m <= n:
-        q_star = kleene_star(dm.Q)
-        s_star = mat_add(
-            TropMatrix.identity(n), mat_mul(mat_mul(dm.D1conj, q_star), dm.C1)
-        )
-    else:
-        s_star = kleene_star(dm.S)
-        q_star = mat_add(
-            TropMatrix.identity(m), mat_mul(mat_mul(dm.C1, s_star), dm.D1conj)
-        )
-    return q_star, s_star
-
-
 def check_stage2_feasibility(
     dm: DerivedMatrices, inst: ProblemInstance
 ) -> tuple[bool, TropValue]:
     """Existence condition value for stage two and its verdict."""
-    core = dm.Q if inst.m <= inst.n else dm.S  # equal trace functions
-    tr = trace_function(core)
-    if tr.raw > FEASIBILITY_SLACK:
-        return False, tr
-    q_star, s_star = _stage2_stars(dm, inst.m, inst.n)
-    hc = conjugate(inst.h)
-    rc = conjugate(inst.r)
-    due_term = _scalar(
-        mat_mul(mat_mul(mat_add(mat_mul(hc, dm.D1conj), rc), q_star), inst.q)
-    )
-    start_term = _scalar(
-        mat_mul(mat_mul(mat_add(mat_mul(rc, dm.C1), hc), s_star), inst.g)
-    )
-    value = t_join([tr, due_term, start_term])
-    return value.raw <= FEASIBILITY_SLACK, value
+    box = _stage_box(inst, dm.D1conj, dm.C1)
+    return box.feasible, box.delta
 
 
 def eta_term_families(
@@ -383,7 +368,7 @@ def _rooted_join(forms: TropMatrix, offset: int) -> TropValue:
     # Join of the (k + offset)-th roots of the 1 x (p+1) per-degree forms,
     # over the degrees k where k + offset >= 1.
     return t_join(
-        _pow_or_zero(forms.entry(0, k), 1.0 / (k + offset))
+        t_pow(forms.entry(0, k), 1.0 / (k + offset))
         for k in range(1 - offset, forms.cols)
     )
 
@@ -393,44 +378,41 @@ def compute_eta(dm: DerivedMatrices, inst: ProblemInstance) -> TropValue:
     feasible, value = check_stage2_feasibility(dm, inst)
     if not feasible:
         raise StageTwoInfeasible(f"stage two infeasible: condition value {value.raw}")
-    eta = t_join(eta_term_families(dm, inst).values())
-    if eta.is_zero:
-        raise InvalidInstance(
-            "stage-two objective is unbounded below; the instance is degenerate"
-        )
-    return eta
+    return _optimum(eta_term_families(dm, inst), "stage-two")
+
+
+def _c_eta(dm: DerivedMatrices, eta: TropValue, inst: ProblemInstance) -> TropMatrix:
+    # Start-finish block of the optimal set: an objective of at most eta
+    # reads eta~ A x <= y, which joins the mu-scaled first-project lags.
+    return mat_add(scalar_mul(t_inv(eta), inst.A), dm.C1)
 
 
 def solution_set(
     dm: DerivedMatrices, eta: TropValue, inst: ProblemInstance
 ) -> StageTwoResult:
-    """Generators and parameter box describing every optimal schedule."""
-    einv = t_inv(eta)
-    try:
-        x_generator = kleene_star(mat_add(scalar_mul(einv, dm.R), dm.S))
-        y_generator = kleene_star(mat_add(scalar_mul(einv, dm.P), dm.Q))
-    except StarDiverges as exc:
+    """Generators and parameter box describing every optimal schedule.
+
+    The generators are the diagonal blocks of the star of the optimal
+    set's skew block, (eta~ R + S)* for x and (eta~ P + Q)* for y; the
+    parameter box is the double inequality's box, split into u and v.
+    """
+    box = _stage_box(inst, dm.D1conj, _c_eta(dm, eta, inst))
+    if not box.feasible:
         raise InternalConsistency(
-            f"solution-set star diverged at the computed optimum: {exc}"
-        ) from exc
-    hc = conjugate(inst.h)
-    rc = conjugate(inst.r)
-    c_eta = mat_add(scalar_mul(einv, inst.A), dm.C1)  # m x n
-    u_upper = conjugate(mat_mul(mat_add(hc, mat_mul(rc, c_eta)), x_generator))
-    v_upper = conjugate(mat_mul(mat_add(mat_mul(hc, dm.D1conj), rc), y_generator))
-    if not _vec_leq(inst.g, u_upper) or not _vec_leq(inst.q, v_upper):
-        raise InternalConsistency(
-            "empty parameter box despite feasible stage-two conditions"
+            "empty solution set at the computed optimum: "
+            f"condition value {box.delta.raw}"
         )
+    n = inst.n
+    star, upper = box.generator.raw, box.upper.raw
     return StageTwoResult(
         feasible=True,
         eta=eta,
-        x_generator=x_generator,
-        y_generator=y_generator,
+        x_generator=TropMatrix._wrap(star[:n, :n].copy()),
+        y_generator=TropMatrix._wrap(star[n:, n:].copy()),
         u_lower=inst.g,
-        u_upper=u_upper,
+        u_upper=TropMatrix._wrap(upper[:n].copy()),
         v_lower=inst.q,
-        v_upper=v_upper,
+        v_upper=TropMatrix._wrap(upper[n:].copy()),
         derived=dm,
     )
 
@@ -449,15 +431,14 @@ def materialize(
     if not _vec_leq(result.v_lower, v) or not _vec_leq(v, result.v_upper):
         raise ParameterOutOfBox("v lies outside the parameter box")
     dm = result.derived
-    einv = t_inv(result.eta)
-    c_eta = mat_add(scalar_mul(einv, inst.A), dm.C1)
+    c_eta = _c_eta(dm, result.eta, inst)
     x = mat_mul(result.x_generator, mat_add(u, mat_mul(dm.D1conj, v)))
     y = mat_mul(result.y_generator, mat_add(mat_mul(c_eta, u), v))
     if not is_regular(x) or not is_regular(y):
         raise ParameterOutOfBox(
             "parameters produce a schedule with undefined components"
         )
-    objective = _scalar(mat_mul(conjugate(y), mat_mul(inst.A, x)))
+    objective = mat_mul(conjugate(y), mat_mul(inst.A, x)).entry(0, 0)
     return ScheduleSolution(x=x, y=y, objective=objective)
 
 
@@ -466,7 +447,7 @@ def stage2_solution_check(
     mu: TropValue,
     x: TropMatrix,
     y: TropMatrix,
-    slack: float = FEASIBILITY_SLACK,
+    slack: float = FEASIBILITY_TOL,
 ) -> bool:
     """Whether (x, y) satisfies every constraint of the stage-two problem."""
     bconj = _conj_or_zero(inst.B)
@@ -487,24 +468,18 @@ def extreme_points(
     """
     if not result.feasible:
         raise StageTwoInfeasible("no extreme points for an infeasible result")
-    n = result.u_lower.rows
-    m = result.v_lower.rows
-    candidates: list[tuple[np.ndarray, np.ndarray]] = []
-    u0 = result.u_lower.raw[:, 0].copy()
-    v0 = result.v_lower.raw[:, 0].copy()
-    candidates.append((u0, v0))
-    for j in range(n):
-        u = u0.copy()
-        u[j] = result.u_upper.raw[j, 0]
-        candidates.append((u, v0))
-    for i in range(m):
-        v = v0.copy()
-        v[i] = result.v_upper.raw[i, 0]
-        candidates.append((u0, v))
+    n = inst.n
+    lower = _stack(result.u_lower, result.v_lower).raw
+    upper = _stack(result.u_upper, result.v_upper).raw
+    candidates = [lower]
+    for k in range(len(lower)):
+        w = lower.copy()
+        w[k] = upper[k]
+        candidates.append(w)
     points: list[ScheduleSolution] = []
-    for u_arr, v_arr in candidates:
-        u = TropMatrix._wrap(u_arr.reshape(-1, 1).copy())
-        v = TropMatrix._wrap(v_arr.reshape(-1, 1).copy())
+    for w in candidates:
+        u = TropMatrix._wrap(w[:n].copy())
+        v = TropMatrix._wrap(w[n:].copy())
         try:
             sol = materialize(result, u, v, inst)
         except ParameterOutOfBox:
@@ -519,31 +494,37 @@ def extreme_points(
 # -- pipeline -----------------------------------------------------------------
 
 
+def solve_stage1(inst: ProblemInstance) -> SolveReport:
+    """Stage one alone: its condition, and mu with its terms when it holds.
+
+    The report carries no notes; ``solve`` adds them.
+    """
+    feasible, value = check_stage1_feasibility(inst)
+    if not feasible:
+        stage1, terms = StageOneResult(False, None, value), None
+    else:
+        terms = mu_term_families(inst)
+        stage1 = StageOneResult(True, _optimum(terms, "stage-one"), value)
+    return SolveReport(
+        instance=inst,
+        stage1=stage1,
+        stage1_terms=terms,
+        stage2_value=None,
+        stage2=None,
+        stage2_terms=None,
+    )
+
+
 def solve(inst: ProblemInstance) -> SolveReport:
     """Run the full pipeline, stopping at the first failing condition."""
+    report = solve_stage1(inst)
     notes: list[str] = []
-    s1_feasible, s1_value = check_stage1_feasibility(inst)
-    if abs(s1_value.raw) <= MARGINAL_BAND:
+    if abs(report.stage1.feasibility_value.raw) <= MARGINAL_BAND:
         notes.append("stage-one condition value is within the marginal band")
-    if not s1_feasible:
-        return SolveReport(
-            instance=inst,
-            stage1=StageOneResult(False, None, s1_value),
-            stage1_terms=None,
-            stage2_value=None,
-            stage2=None,
-            stage2_terms=None,
-            notes=notes,
-        )
-    terms1 = mu_term_families(inst)
-    mu = t_join(terms1.values())
-    if mu.is_zero:
-        raise InvalidInstance(
-            "stage-one objective is unbounded below; the instance is degenerate"
-        )
-    stage1 = StageOneResult(True, mu, s1_value)
+    if not report.stage1.feasible:
+        return replace(report, notes=notes)
 
-    dm = derive_matrices(inst, mu)
+    dm = derive_matrices(inst, report.stage1.mu)
     if not bool(np.isfinite(dm.D1conj.raw).any(axis=1).all()):
         notes.append(
             "some worker has no finite due-date-start lag in either project; "
@@ -553,32 +534,21 @@ def solve(inst: ProblemInstance) -> SolveReport:
     if abs(s2_value.raw) <= MARGINAL_BAND:
         notes.append("stage-two condition value is within the marginal band")
     if not s2_feasible:
-        return SolveReport(
-            instance=inst,
-            stage1=stage1,
-            stage1_terms=terms1,
+        return replace(
+            report,
             stage2_value=s2_value,
             stage2=StageTwoResult(
                 False, None, None, None, None, None, None, None, dm
             ),
-            stage2_terms=None,
             notes=notes,
         )
     terms2 = eta_term_families(dm, inst)
-    eta = t_join(terms2.values())
-    if eta.is_zero:
-        raise InvalidInstance(
-            "stage-two objective is unbounded below; the instance is degenerate"
-        )
-    result = solution_set(dm, eta, inst)
-    extreme = extreme_points(result, inst)
-    return SolveReport(
-        instance=inst,
-        stage1=stage1,
-        stage1_terms=terms1,
+    result = solution_set(dm, _optimum(terms2, "stage-two"), inst)
+    return replace(
+        report,
         stage2_value=s2_value,
         stage2=result,
         stage2_terms=terms2,
-        extreme=extreme,
+        extreme=extreme_points(result, inst),
         notes=notes,
     )

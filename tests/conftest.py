@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tropsched.blockstar import SkewBlock
 from tropsched.linalg import TropMatrix
 from tropsched.semiring import TropValue
 
@@ -32,6 +33,26 @@ def rand_raw(rng, rows, cols, density=0.85, lo=-5, hi=5):
 
 def rand_mat(rng, rows, cols, **kwargs) -> TropMatrix:
     return TropMatrix(rand_raw(rng, rows, cols, **kwargs))
+
+
+def zero_cycle_skew(rng, p, q, density=0.8):
+    """Integer skew blocks whose cycles are all non-positive, some exactly 0.
+
+    B[i, j] = a[i] - b[j] - s and C[j, i] = b[j] - a[i] - s' with integer
+    potentials a, b and slacks s, s' in {0, 1, 2}, half of them 0: every
+    cycle weighs minus the sum of its slacks.  Holes are zero entries.
+    """
+    a = rng.integers(-4, 5, size=p).astype(float)
+    b = rng.integers(-4, 5, size=q).astype(float)
+
+    def block(diff, rows, cols):
+        slack = rng.integers(1, 3, (rows, cols)) * (rng.random((rows, cols)) < 0.5)
+        keep = rng.random((rows, cols)) < density
+        return TropMatrix(np.where(keep, diff - slack, NEG_INF))
+
+    return SkewBlock(
+        block(a[:, None] - b[None, :], p, q), block(b[:, None] - a[None, :], q, p)
+    )
 
 
 def reference_mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import NEG_INF, assert_close, rand_mat
+from conftest import NEG_INF, assert_close, rand_mat, zero_cycle_skew
 
 from tropsched.blockstar import SkewBlock, assemble, skew_star, skew_trace
 from tropsched.errors import DimensionMismatch, StarDiverges
@@ -90,3 +90,27 @@ def test_even_odd_power_structure(rng):
         for k in (1, 3):
             w = mat_pow(full, k).raw
             assert (w[:p, :p] == NEG_INF).all() and (w[p:, p:] == NEG_INF).all()
+
+
+def test_star_from_one_closure_on_zero_weight_cycles(rng):
+    # Integer data: the blockwise star and the full closure agree exactly.
+    for p in range(1, 6):
+        for q in range(1, 6):
+            for density in (0.3, 0.8, 1.0):
+                sb = zero_cycle_skew(rng, p, q, density=density)
+                assert skew_star(sb) == kleene_star(assemble(sb))
+
+
+def test_divergence_reports_skew_trace(rng):
+    raised = 0
+    for _ in range(60):
+        p, q = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        sb = SkewBlock(rand_mat(rng, p, q), rand_mat(rng, q, p))
+        tr = skew_trace(sb)
+        if tr.raw <= 1e-9:
+            continue
+        raised += 1
+        with pytest.raises(StarDiverges) as exc_info:
+            skew_star(sb)
+        assert exc_info.value.trace_value == tr
+    assert raised >= 20

@@ -2,11 +2,20 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import assert_close, rand_mat, rand_raw
+from conftest import assert_close, rand_mat, rand_raw, zero_cycle_skew
 
-from tropsched.errors import NotColumnRegular, NotRegularVector
+from tropsched import blockstar, inequality, linalg, scheduler
+from tropsched.blockstar import SkewBlock, assemble, skew_trace
+from tropsched.errors import NotColumnRegular, NotRegularVector, StarDiverges
 from tropsched.inequality import solve_double_inequality, solve_upper_bound
-from tropsched.linalg import TropMatrix, mat_add, mat_mul
+from tropsched.instances import random_feasible_instance
+from tropsched.linalg import (
+    TropMatrix,
+    mat_add,
+    mat_mul,
+    scalar_mul,
+    trace_function,
+)
 from tropsched.semiring import TropValue
 
 
@@ -127,3 +136,80 @@ def test_completeness_and_infeasibility_on_grid(rng):
             w = np.maximum(x.raw, box.lower.raw)
             regenerated = mat_mul(box.generator, TropMatrix(w))
             assert regenerated.allclose(x, tol=1e-9)
+
+
+def _skew_cases(rng, p, q):
+    # All-zero blocks, one zero block, zero-weight cycles, and the same
+    # cycles made positive by lifting every C entry.
+    yield SkewBlock(TropMatrix.zeros(p, q), TropMatrix.zeros(q, p))
+    yield SkewBlock(TropMatrix.zeros(p, q), zero_cycle_skew(rng, p, q).C)
+    for _ in range(3):
+        yield zero_cycle_skew(rng, p, q)
+    sb = zero_cycle_skew(rng, p, q, density=1.0)
+    yield SkewBlock(sb.B, scalar_mul(1.0, sb.C))
+
+
+def test_skew_block_matches_assembled_matrix(rng):
+    outcomes = set()
+    for p in range(1, 6):
+        for q in range(1, 6):
+            for sb in _skew_cases(rng, p, q):
+                b = rand_mat(rng, sb.order, 1, density=0.8, lo=-3, hi=3)
+                d = TropMatrix(rand_raw(rng, sb.order, 1, density=1.0, lo=-2, hi=8))
+                got = solve_double_inequality(sb, b, d)
+                want = solve_double_inequality(assemble(sb), b, d)
+                assert got.feasible == want.feasible
+                if want.generator is None:
+                    # A positive cycle: each route reports its own trace
+                    # function, truncated at its own order, so the values
+                    # agree only in sign; the block route's is skew_trace.
+                    assert got.delta == skew_trace(sb) and got.delta.raw > 1e-9
+                else:
+                    assert got.delta.isclose(want.delta, tol=1e-9)
+                assert got.lower == want.lower
+                for mine, ref in ((got.generator, want.generator), (got.upper, want.upper)):
+                    assert (mine is None) == (ref is None)
+                    assert ref is None or mine.allclose(ref)
+                outcomes.add((got.feasible, got.generator is not None))
+    # Feasible, infeasible through the box, infeasible through a cycle.
+    assert outcomes == {(True, True), (False, True), (False, False)}
+
+
+def test_trace_read_from_the_closure(rng):
+    # With no lower bound, delta is Tr(A) alone.
+    checked = 0
+    for trial in range(300):
+        if trial % 2:
+            sb = zero_cycle_skew(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
+            a, expected = sb, skew_trace(sb)
+            n = sb.order
+        else:
+            n = int(rng.integers(1, 6))
+            raw = rand_raw(rng, n, n, density=0.7, lo=-4, hi=2)
+            a = TropMatrix(raw + rng.uniform(-0.5, 0.5, size=raw.shape))
+            expected = trace_function(a)
+        if expected.raw > 1e-9:
+            continue
+        checked += 1
+        box = solve_double_inequality(a, TropMatrix.zeros(n, 1), TropMatrix.column([0.0] * n))
+        assert box.delta.isclose(expected, tol=1e-9)
+    assert checked >= 150
+
+
+def test_feasible_solve_makes_no_trace_function_calls(monkeypatch):
+    inst = random_feasible_instance(np.random.default_rng(6), 6, 6)
+    calls = []
+
+    def counting(a):
+        calls.append(a.shape)
+        return trace_function(a)
+
+    for mod in (linalg, blockstar, inequality, scheduler):
+        if hasattr(mod, "trace_function"):
+            monkeypatch.setattr(mod, "trace_function", counting)
+    assert scheduler.solve(inst).status == "optimal"
+    assert calls == []
+    # The counter sees the call a diverging star makes.
+    with pytest.raises(StarDiverges):
+        linalg.kleene_star(TropMatrix([[1]]))
+    assert calls == [(1, 1)]
