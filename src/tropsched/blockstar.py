@@ -81,9 +81,13 @@ def skew_star(sb: SkewBlock) -> TropMatrix:
     [[K, K B], [C K, I + C K B]], and symmetrically through (CB)* when C B
     is the smaller product.  The single closure is the star of the smaller
     block product; a positive cycle raises StarDiverges carrying the trace
-    function of that product, which equals ``skew_trace``.
+    function of that product, which equals ``skew_trace``.  When B or C is
+    all zero there is no cycle and no path of two arcs, so the star is
+    [[I, B], [C, I]] without a closure.
     """
     p, q = sb.B.shape
+    if sb.B.is_zero_matrix() or sb.C.is_zero_matrix():
+        return _from_blocks(TropMatrix.identity(p), sb.B, sb.C, TropMatrix.identity(q))
     if p <= q:
         ul = kleene_star(_core(sb))  # (BC)*
         ur = mat_mul(ul, sb.B)

@@ -13,6 +13,7 @@ consistency failure, 5 oracle disagreement.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -44,6 +45,8 @@ EXIT_INVALID_INPUT = 3
 EXIT_INTERNAL = 4
 EXIT_DISAGREEMENT = 5
 
+_NEG_INF = float("-inf")
+
 _INSTANCE_MATRIX_FIELDS = ("A", "B", "C", "D")
 _INSTANCE_VECTOR_FIELDS = ("g", "h", "q", "r")
 
@@ -55,12 +58,13 @@ def _reject_constant(token: str):
     raise ParseError(f"non-finite literal {token!r} is not allowed")
 
 
-def _check_entry(x: Any, where: str) -> float | None:
-    if x is None:
-        return None
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ParseError(f"{where}: entry must be a number or null, got {x!r}")
-    return float(x)
+def _checked_raw(values: list, where) -> list[float]:
+    # Entries as floats with -inf for null; where(j) names entry j, and is
+    # only called to word the error.
+    for j, x in enumerate(values):
+        if x is not None and (isinstance(x, bool) or not isinstance(x, (int, float))):
+            raise ParseError(f"{where(j)}: entry must be a number or null, got {x!r}")
+    return [_NEG_INF if x is None else x for x in values]
 
 
 def _parse_matrix(doc: dict, name: str, rows: int, cols: int) -> TropMatrix:
@@ -71,18 +75,16 @@ def _parse_matrix(doc: dict, name: str, rows: int, cols: int) -> TropMatrix:
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"field {name!r}, row {i}: expected {cols} entries")
-        data.append(
-            [_check_entry(x, f"field {name!r}, row {i}, column {j}") for j, x in enumerate(row)]
-        )
-    return TropMatrix(data)
+        data.append(_checked_raw(row, lambda j: f"field {name!r}, row {i}, column {j}"))
+    return TropMatrix(np.array(data, dtype=np.float64))
 
 
 def _parse_vector(doc: dict, name: str, size: int) -> TropMatrix:
     value = doc.get(name)
     if not isinstance(value, list) or len(value) != size:
         raise ParseError(f"field {name!r}: expected a list of {size} numbers")
-    entries = [_check_entry(x, f"field {name!r}, index {i}") for i, x in enumerate(value)]
-    return TropMatrix.column(entries)
+    data = _checked_raw(value, lambda i: f"field {name!r}, index {i}")
+    return TropMatrix(np.array(data, dtype=np.float64)[:, None])
 
 
 def instance_from_dict(doc: dict) -> ProblemInstance:
@@ -139,7 +141,7 @@ def _value_to_json(v: TropValue | None) -> float | None:
 
 
 def _vector_to_list(v: TropMatrix) -> list[float | None]:
-    return [None if x is None else x for row in v.to_rows() for x in row]
+    return [row[0] for row in v.to_rows()]
 
 
 def _solution_to_dict(sol: ScheduleSolution) -> dict:
@@ -358,7 +360,9 @@ def _draw(rng: np.random.Generator, lower: np.ndarray, upper: np.ndarray) -> np.
 # -- entry point ------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process; parse_args leaves the parser unchanged.
     parser = argparse.ArgumentParser(
         prog="tropsched",
         description="Two-stage minimax lateness scheduling over max-plus algebra",

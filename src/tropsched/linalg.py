@@ -33,8 +33,11 @@ _NEG_INF = float("-inf")
 # still get a star; the inequality solver and the scheduler import it.
 FEASIBILITY_TOL = 1e-9
 
-# Above this many scalar ops the broadcast product is evaluated in row blocks.
-_MATMUL_BLOCK_LIMIT = 4_000_000
+# Above this many scalar ops the broadcast product is evaluated in row
+# blocks of at most this many (one row when a row alone is larger), so the
+# float64 temporary stays at 1 MiB unless one row needs more; blocks that
+# fit in cache are also faster than one large broadcast.
+_MATMUL_BLOCK_LIMIT = 131_072
 
 
 def _entry_to_raw(x) -> float:
@@ -122,7 +125,7 @@ class TropMatrix:
     def to_rows(self) -> list[list[float | None]]:
         """Nested lists with ``None`` in place of zero-element entries."""
         return [
-            [None if x == _NEG_INF else float(x) for x in row] for row in self._data
+            [None if x == _NEG_INF else x for x in row] for row in self._data.tolist()
         ]
 
     def is_zero_matrix(self) -> bool:

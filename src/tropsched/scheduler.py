@@ -9,7 +9,8 @@ joins four term families.  Its cycle family is the maximum cycle mean of
 Q* P (one star and one Karp pass at order min(m, n)); the other three are
 root-scaled, degree-separated bilinear forms.
 The full solution set is a pair of star generators acting on parameters
-ranging over a box, with at most m + n + 1 extreme schedules.
+ranging over a box, with at most m + n + 1 extreme schedules; they are the
+images of the box corners, all computed in one batched product.
 
 Both stage conditions and the solution set are one tool: the double
 inequality A z + b <= z <= d over z = (x, y), where A is skew block
@@ -417,29 +418,58 @@ def solution_set(
     )
 
 
+def _schedules(
+    result: StageTwoResult, w: np.ndarray, inst: ProblemInstance
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Schedules of the parameter columns w = (u; v), all in one product each:
+    # X = X* (U + D1~ V), Y = Y* (C_eta U + V), and per column the objective
+    # max_i (y~_i + (A x)_i).  Only the columns whose x and y are both
+    # regular are returned (x, y and objectives), in their order in w.
+    dm = result.derived
+    n = inst.n
+    u = TropMatrix._wrap(w[:n])
+    v = TropMatrix._wrap(w[n:])
+    x = mat_mul(result.x_generator, mat_add(u, mat_mul(dm.D1conj, v))).raw
+    y = mat_mul(
+        result.y_generator, mat_add(mat_mul(_c_eta(dm, result.eta, inst), u), v)
+    ).raw
+    regular = np.isfinite(x).all(axis=0) & np.isfinite(y).all(axis=0)
+    x, y = x[:, regular], y[:, regular]
+    ax = mat_mul(inst.A, TropMatrix._wrap(x)).raw
+    # y is regular, so y~ is -y; adding 0.0 clears negative zeros as
+    # ``conjugate`` does.
+    objective = ((-y + 0.0) + ax).max(axis=0)
+    return x, y, objective
+
+
 def materialize(
     result: StageTwoResult,
     u: TropMatrix,
     v: TropMatrix,
     inst: ProblemInstance,
 ) -> ScheduleSolution:
-    """Schedule for a concrete parameter choice inside the box."""
+    """Schedule for a concrete parameter choice inside the box.
+
+    It is the one-column case of the batched product that
+    ``extreme_points`` runs over every box corner: x = X* (u + D1~ v) and
+    y = Y* (C_eta u + v), associated in that order.
+    """
     if not result.feasible:
         raise StageTwoInfeasible("cannot materialise from an infeasible result")
     if not _vec_leq(result.u_lower, u) or not _vec_leq(u, result.u_upper):
         raise ParameterOutOfBox("u lies outside the parameter box")
     if not _vec_leq(result.v_lower, v) or not _vec_leq(v, result.v_upper):
         raise ParameterOutOfBox("v lies outside the parameter box")
-    dm = result.derived
-    c_eta = _c_eta(dm, result.eta, inst)
-    x = mat_mul(result.x_generator, mat_add(u, mat_mul(dm.D1conj, v)))
-    y = mat_mul(result.y_generator, mat_add(mat_mul(c_eta, u), v))
-    if not is_regular(x) or not is_regular(y):
+    x, y, objective = _schedules(result, _stack(u, v).raw, inst)
+    if not objective.size:
         raise ParameterOutOfBox(
             "parameters produce a schedule with undefined components"
         )
-    objective = mat_mul(conjugate(y), mat_mul(inst.A, x)).entry(0, 0)
-    return ScheduleSolution(x=x, y=y, objective=objective)
+    return ScheduleSolution(
+        x=TropMatrix._wrap(x),
+        y=TropMatrix._wrap(y),
+        objective=TropValue.from_raw(float(objective[0])),
+    )
 
 
 def stage2_solution_check(
@@ -463,32 +493,34 @@ def extreme_points(
 
     Candidates are the all-lower parameter point plus, for each coordinate
     of (u, v), the point with that coordinate raised to its upper bound.
-    Deduplication by the materialised schedule leaves at most m + n + 1
-    distinct points.
+    All m + n + 1 of them are materialised in one batched product; those
+    whose schedule has a zero-element component are dropped (zero-element
+    lower bounds may not define a schedule), and the rest are deduplicated
+    in candidate order, a candidate being kept unless its (x, y) lies
+    within 1e-9 of an already kept one in every entry.  That leaves at
+    most m + n + 1 distinct points.
     """
     if not result.feasible:
         raise StageTwoInfeasible("no extreme points for an infeasible result")
-    n = inst.n
     lower = _stack(result.u_lower, result.v_lower).raw
     upper = _stack(result.u_upper, result.v_upper).raw
-    candidates = [lower]
-    for k in range(len(lower)):
-        w = lower.copy()
-        w[k] = upper[k]
-        candidates.append(w)
-    points: list[ScheduleSolution] = []
-    for w in candidates:
-        u = TropMatrix._wrap(w[:n].copy())
-        v = TropMatrix._wrap(w[n:].copy())
-        try:
-            sol = materialize(result, u, v, inst)
-        except ParameterOutOfBox:
-            continue  # zero-element lower bounds may not define a schedule
-        if not any(
-            sol.x.allclose(p.x) and sol.y.allclose(p.y) for p in points
-        ):
-            points.append(sol)
-    return points
+    candidates = np.repeat(lower, len(lower) + 1, axis=1)
+    np.fill_diagonal(candidates[:, 1:], upper[:, 0])
+    x, y, objective = _schedules(result, candidates, inst)
+    points = np.vstack((x, y))
+    kept: list[int] = []
+    for j in range(points.shape[1]):
+        diff = np.abs(points[:, kept] - points[:, j, None])
+        if not (diff <= 1e-9).all(axis=0).any():
+            kept.append(j)
+    return [
+        ScheduleSolution(
+            x=TropMatrix._wrap(x[:, j : j + 1]),
+            y=TropMatrix._wrap(y[:, j : j + 1]),
+            objective=TropValue.from_raw(float(objective[j])),
+        )
+        for j in kept
+    ]
 
 
 # -- pipeline -----------------------------------------------------------------
@@ -497,9 +529,12 @@ def extreme_points(
 def solve_stage1(inst: ProblemInstance) -> SolveReport:
     """Stage one alone: its condition, and mu with its terms when it holds.
 
-    The report carries no notes; ``solve`` adds them.
+    The report notes a condition value within the marginal band.
     """
     feasible, value = check_stage1_feasibility(inst)
+    notes = []
+    if abs(value.raw) <= MARGINAL_BAND:
+        notes.append("stage-one condition value is within the marginal band")
     if not feasible:
         stage1, terms = StageOneResult(False, None, value), None
     else:
@@ -512,17 +547,16 @@ def solve_stage1(inst: ProblemInstance) -> SolveReport:
         stage2_value=None,
         stage2=None,
         stage2_terms=None,
+        notes=notes,
     )
 
 
 def solve(inst: ProblemInstance) -> SolveReport:
     """Run the full pipeline, stopping at the first failing condition."""
     report = solve_stage1(inst)
-    notes: list[str] = []
-    if abs(report.stage1.feasibility_value.raw) <= MARGINAL_BAND:
-        notes.append("stage-one condition value is within the marginal band")
     if not report.stage1.feasible:
-        return replace(report, notes=notes)
+        return report
+    notes = list(report.notes)
 
     dm = derive_matrices(inst, report.stage1.mu)
     if not bool(np.isfinite(dm.D1conj.raw).any(axis=1).all()):

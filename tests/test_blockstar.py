@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from conftest import NEG_INF, assert_close, rand_mat, zero_cycle_skew
 
+from tropsched import blockstar
 from tropsched.blockstar import SkewBlock, assemble, skew_star, skew_trace
 from tropsched.errors import DimensionMismatch, StarDiverges
 from tropsched.linalg import (
@@ -99,6 +100,23 @@ def test_star_from_one_closure_on_zero_weight_cycles(rng):
             for density in (0.3, 0.8, 1.0):
                 sb = zero_cycle_skew(rng, p, q, density=density)
                 assert skew_star(sb) == kleene_star(assemble(sb))
+
+
+def test_zero_block_star_needs_no_closure(rng, monkeypatch):
+    # With B or C all zero no path has two arcs: the star is [[I, B], [C, I]].
+    cases = []
+    for p in range(1, 5):
+        for q in range(1, 5):
+            b, c = rand_mat(rng, p, q), rand_mat(rng, q, p)
+            cases += [SkewBlock(TropMatrix.zeros(p, q), c), SkewBlock(b, TropMatrix.zeros(q, p))]
+    expected = [kleene_star(assemble(sb)) for sb in cases]
+
+    def no_closure(a):
+        raise AssertionError("closure computed for a zero block")
+
+    monkeypatch.setattr(blockstar, "kleene_star", no_closure)
+    for sb, star in zip(cases, expected):
+        assert skew_star(sb) == star
 
 
 def test_divergence_reports_skew_trace(rng):

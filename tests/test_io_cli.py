@@ -39,6 +39,17 @@ def test_parse_diagnostics():
     bad = dict(doc, B=[["x"]])
     with pytest.raises(ParseError, match="row 0, column 0"):
         instance_from_dict(bad)
+    bad = dict(doc, C=[[True]])
+    with pytest.raises(
+        ParseError,
+        match=r"^field 'C', row 0, column 0: entry must be a number or null, got True$",
+    ):
+        instance_from_dict(bad)
+    bad = dict(doc, q=["5"])
+    with pytest.raises(
+        ParseError, match=r"^field 'q', index 0: entry must be a number or null, got '5'$"
+    ):
+        instance_from_dict(bad)
     with pytest.raises(ParseError):
         instance_from_dict([1, 2, 3])
 

@@ -4,6 +4,7 @@ from conftest import NEG_INF, assert_close, enumerate_cycle_means, rand_mat, ref
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tropsched import linalg
 from tropsched.errors import (
     DimensionMismatch,
     NotAVector,
@@ -71,6 +72,26 @@ def test_mat_mul_matches_triple_loop(rng):
         a = rand_mat(rng, int(r), int(k), density=0.7)
         b = rand_mat(rng, int(k), int(c), density=0.7)
         assert mat_mul(a, b) == reference_mat_mul(a, b)
+
+
+def test_mat_mul_blocked_matches_unblocked(rng, monkeypatch):
+    # Non-integer data, so a reordered reduction would show in the bits.
+    shapes = [(13, 3, 1), (7, 5, 9), (1, 6, 4), (4, 11, 6), (20, 2, 2)]
+    cases = []
+    for r, k, c in shapes:
+        a = TropMatrix(rand_mat(rng, r, k, density=0.7).raw / 3.0)
+        b = TropMatrix(rand_mat(rng, k, c, density=0.7).raw / 7.0)
+        cases.append((a, b, mat_mul(a, b)))
+    # Every product stays referenced until the end, so no freed buffer that
+    # a blocked product's output reuses can already hold the right values.
+    blocked = []
+    for limit in (1, 8, 20):
+        monkeypatch.setattr(linalg, "_MATMUL_BLOCK_LIMIT", limit)
+        for a, b, whole in cases:
+            assert a.rows * a.cols * b.cols > limit  # the blocked branch runs
+            blocked.append((mat_mul(a, b), whole))
+    for out, whole in blocked:
+        assert np.array_equal(out.raw, whole.raw)
 
 
 def test_scalar_mul():

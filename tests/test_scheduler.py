@@ -1,6 +1,9 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from conftest import assert_close, rand_mat
+from conftest import FIXTURES, assert_close, rand_mat
 
 import tropsched as ts
 from tropsched.errors import (
@@ -9,9 +12,14 @@ from tropsched.errors import (
     StageOneInfeasible,
     StageTwoInfeasible,
 )
-from tropsched.instances import random_feasible_instance, random_instance, worked_example
-from tropsched.linalg import TropMatrix
-from tropsched.semiring import TropValue
+from tropsched.instances import (
+    random_feasible_instance,
+    random_instance,
+    random_scale_instance,
+    worked_example,
+)
+from tropsched.linalg import TropMatrix, conjugate, is_regular, mat_add, mat_mul, scalar_mul
+from tropsched.semiring import TropValue, t_inv
 
 
 def _col(*values):
@@ -299,6 +307,138 @@ def test_extreme_points_spread(rng):
     assert any(k == m + n for (m, n), k in best.items())
 
 
+def _reference_schedule(result, u, v, inst):
+    # One candidate at a time, through the matrix kernels:
+    # x = X* (u + D1~ v), y = Y* (C_eta u + v), objective y~ A x.
+    dm = result.derived
+    c_eta = mat_add(scalar_mul(t_inv(result.eta), inst.A), dm.C1)
+    x = mat_mul(result.x_generator, mat_add(u, mat_mul(dm.D1conj, v)))
+    y = mat_mul(result.y_generator, mat_add(mat_mul(c_eta, u), v))
+    if not is_regular(x) or not is_regular(y):
+        return None
+    return ts.ScheduleSolution(x, y, mat_mul(conjugate(y), mat_mul(inst.A, x)).entry(0, 0))
+
+
+def _reference_extreme_points(result, inst):
+    # Per-candidate route: every box corner on its own, then deduplication
+    # against the points kept so far with allclose.  Also returns the
+    # candidates without a schedule and counts the near duplicates (within
+    # 1e-9 of a kept point, not equal to it).
+    n = inst.n
+    lower = np.vstack((result.u_lower.raw, result.v_lower.raw))
+    upper = np.vstack((result.u_upper.raw, result.v_upper.raw))
+    corners = [lower]
+    for k in range(len(lower)):
+        w = lower.copy()
+        w[k] = upper[k]
+        corners.append(w)
+    points, irregular, near = [], [], 0
+    for w in corners:
+        u, v = TropMatrix(w[:n]), TropMatrix(w[n:])
+        sol = _reference_schedule(result, u, v, inst)
+        if sol is None:
+            irregular.append((u, v))
+            continue
+        same = [p for p in points if sol.x.allclose(p.x) and sol.y.allclose(p.y)]
+        if not same:
+            points.append(sol)
+        elif all(sol.x != p.x or sol.y != p.y for p in same):
+            near += 1
+    return points, irregular, near
+
+
+def _with_open_lower_bounds(inst, rng):
+    # Zero-element start and due-date lower bounds (no release time).
+    def open_some(vec):
+        raw = vec.raw.copy()
+        raw[rng.random(raw.shape) < 0.4] = -np.inf
+        return TropMatrix(raw)
+
+    return replace(inst, g=open_some(inst.g), q=open_some(inst.q))
+
+
+def _narrow_box(result, width):
+    # Upper bounds moved to within width of the finite lower bounds, so
+    # raising such a coordinate moves the schedule by at most width.
+    def narrow(lower, upper):
+        lo, up = lower.raw, upper.raw
+        return TropMatrix(np.where(np.isfinite(lo), np.minimum(up, lo + width), up))
+
+    return replace(
+        result,
+        u_upper=narrow(result.u_lower, result.u_upper),
+        v_upper=narrow(result.v_lower, result.v_upper),
+    )
+
+
+def test_extreme_points_match_per_candidate_reference(rng):
+    results = []
+    for _ in range(40):
+        m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        if rng.random() < 0.5:
+            inst = random_feasible_instance(rng, m, n)
+        else:
+            # Sparse lags leave zero entries in X* u, so open bounds give
+            # candidates without a schedule.
+            sparse = random_feasible_instance(rng, m, n, density=0.5)
+            inst = _with_open_lower_bounds(sparse, rng)
+        try:
+            rep = ts.solve(inst)
+        except InvalidInstance:
+            continue  # open bounds can leave the stage-one objective unbounded
+        if rep.status == "optimal":
+            results.append((rep.stage2, inst))
+    for m, n in ((4, 15), (15, 4)):
+        inst = random_scale_instance(rng, m, n)
+        results.append((ts.solve(inst).stage2, inst))
+    for result, inst in list(results):
+        results += [(_narrow_box(result, 4e-10), inst), (_narrow_box(result, 3e-9), inst)]
+
+    shapes, irregular, near = set(), 0, 0
+    for result, inst in results:
+        ref, ref_irregular, ref_near = _reference_extreme_points(result, inst)
+        got = ts.extreme_points(result, inst)
+        assert len(got) == len(ref)
+        for p, r in zip(got, ref):
+            assert p.x == r.x and p.y == r.y and p.objective == r.objective
+        for u, v in ref_irregular:
+            with pytest.raises(ParameterOutOfBox, match="undefined components"):
+                ts.materialize(result, u, v, inst)
+        shapes.add(inst.m <= inst.n)
+        irregular += len(ref_irregular)
+        near += ref_near
+    assert shapes == {True, False}
+    assert irregular > 0 and near > 0
+
+
+def test_materialize_matches_reference(rng):
+    for _ in range(10):
+        m, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        inst = random_feasible_instance(rng, m, n)
+        s2 = ts.solve(inst).stage2
+        for _ in range(3):
+            u = s2.u_lower.raw + rng.random((n, 1)) * (s2.u_upper.raw - s2.u_lower.raw)
+            v = s2.v_lower.raw + rng.random((m, 1)) * (s2.v_upper.raw - s2.v_lower.raw)
+            sol = ts.materialize(s2, TropMatrix(u), TropMatrix(v), inst)
+            ref = _reference_schedule(s2, TropMatrix(u), TropMatrix(v), inst)
+            assert sol.x == ref.x and sol.y == ref.y and sol.objective == ref.objective
+
+
+@pytest.mark.parametrize("m,n", [(10, 100), (100, 10)])
+def test_solve_memory_peak_is_bounded(m, n):
+    # The extreme points are one product of an order-max(m, n) generator
+    # with m + n + 1 columns; blocked products keep its temporary small.
+    inst = random_scale_instance(np.random.default_rng(0), m, n)
+    ts.solve(inst)
+    tracemalloc.start()
+    try:
+        ts.solve(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
 def test_solve_short_circuits():
     rep = ts.solve(_instance(h=_col(2)))
     assert rep.status == "stage1_infeasible"
@@ -387,3 +527,10 @@ def test_marginal_note():
     inst = worked_example()
     rep = ts.solve(inst)
     assert any("marginal" in note for note in rep.notes)  # stage-2 value is exactly 0
+    # A stage-one condition value of exactly 0 is noted by stage one alone.
+    from tropsched.io_cli import parse_instance
+
+    inst = parse_instance(FIXTURES["team_a"])
+    note = "stage-one condition value is within the marginal band"
+    assert ts.solve_stage1(inst).notes == [note]
+    assert ts.solve(inst).notes[0] == note
