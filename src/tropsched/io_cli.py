@@ -6,8 +6,8 @@ and survives a round trip unambiguously.  NaN and infinities are rejected
 on input.  Reports are emitted with sorted keys and repr-exact floats, so
 identical inputs (and seeds) produce byte-identical files.
 
-Exit codes: 0 solved feasible, 2 infeasible, 3 invalid input, 4 internal
-consistency failure, 5 oracle disagreement.
+Exit codes: 0 solved feasible, 2 infeasible, 3 invalid input or usage
+error, 4 internal consistency failure, 5 oracle disagreement.
 """
 
 from __future__ import annotations
@@ -380,12 +380,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("instance", help="path to an instance JSON file")
         p.add_argument("--output", help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument(
-            "--tolerance",
-            type=float,
-            default=1e-4,
-            help="oracle agreement tolerance (verify only)",
-        )
+        if name == "verify":
+            p.add_argument(
+                "--tolerance", type=float, default=1e-4, help="oracle agreement tolerance"
+            )
         if name == "sample":
             p.add_argument("--count", type=int, default=10)
             p.add_argument("--seed", type=int, default=0)
@@ -395,7 +393,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run_cli(argv: list[str] | None = None) -> int:
     """Parse arguments, run a subcommand, and map errors to exit codes."""
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code in (0, None):  # --help
+            raise
+        # argparse exits 2 on a usage error, which would read as "infeasible".
+        return EXIT_INVALID_INPUT
     try:
         return args.func(args)
     except (ParseError, InvalidInstance) as exc:

@@ -12,8 +12,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DimensionMismatch,
@@ -278,45 +276,28 @@ def is_row_regular(a: TropMatrix) -> bool:
 def spectral_radius(a: TropMatrix) -> TropValue:
     """Maximum cycle mean of the weighted digraph of a (Karp's algorithm).
 
-    Cycles live inside strongly connected components, so Karp's recursion
-    runs per component; states without a finite cycle contribute the zero
-    element, and an acyclic matrix yields the zero element overall.
+    Karp's recursion starts from every state at once (a zero-weight virtual
+    source with an arc into each state, so all states are reachable and no
+    split into strongly connected components is needed): D_0 = 0 and
+    D_k = D_{k-1} A, so D_k(v) is the heaviest walk of k arcs ending at v,
+    and rho = max_v min_k (D_n(v) - D_k(v)) / (n - k) over the states with
+    a finite D_n(v).  A walk of n arcs ending at v has a suffix of every
+    shorter length, so each D_k(v) is finite there.  When no D_n(v) is
+    finite the digraph is acyclic and the result is the zero element.
     """
     if a.rows != a.cols:
         raise NotSquare(f"spectral radius requires a square matrix, got {a.shape}")
     w = a._data
-    finite = np.isfinite(w)
-    if not finite.any():
-        return TropValue.zero()
-    graph = csr_matrix(finite.astype(np.int8))
-    ncomp, labels = connected_components(graph, directed=True, connection="strong")
-    best = _NEG_INF
-    for comp in range(ncomp):
-        nodes = np.flatnonzero(labels == comp)
-        if nodes.size == 1 and not finite[nodes[0], nodes[0]]:
-            continue  # no cycle through an isolated state
-        best = max(best, _karp_cycle_mean(w[np.ix_(nodes, nodes)]))
-    return TropValue.from_raw(best)
-
-
-def _karp_cycle_mean(w: np.ndarray) -> float:
-    # Karp's recursion on a strongly connected subgraph containing a cycle:
-    # rho = max_v min_k (D_n(v) - D_k(v)) / (n - k), D_k = best k-arc walk
-    # weights from a fixed source.
     n = w.shape[0]
-    d = np.full((n + 1, n), _NEG_INF)
-    d[0, 0] = 0.0
+    d = np.zeros((n + 1, n))
     for k in range(1, n + 1):
         d[k] = (d[k - 1][:, None] + w).max(axis=0)
-    last = d[n]
-    reach = np.isfinite(last)
+    reach = np.isfinite(d[n])
     if not reach.any():
-        return _NEG_INF
+        return TropValue.zero()
     denom = (n - np.arange(n)).astype(np.float64)
-    with np.errstate(invalid="ignore"):
-        ratios = (last[None, reach] - d[:n, reach]) / denom[:, None]
-    ratios[~np.isfinite(d[:n, reach])] = np.inf  # walks of that length do not exist
-    return float(ratios.min(axis=0).max())
+    ratios = (d[n, reach] - d[:n, reach]) / denom[:, None]
+    return TropValue.from_raw(float(ratios.min(axis=0).max()))
 
 
 def spectral_radius_via_traces(a: TropMatrix) -> TropValue:

@@ -118,7 +118,8 @@ class GridSpec:
     `upper` override it per coordinate.  Each refinement round halves the
     step and re-grids a window of two old steps around the incumbent, so
     with slopes of at most one the certified gap after the last round is
-    proportional to the final step, which must not exceed `tolerance`.
+    proportional to the final step, `initial_step / 2**refinement_rounds`
+    (2.98e-8 at the defaults).
 
     Constraints that could not be folded into the box enter the score as an
     exact penalty `penalty * violation`.  The stage-one region is itself a
@@ -135,7 +136,6 @@ class GridSpec:
     upper: np.ndarray | None = None
     initial_step: float = 0.5
     refinement_rounds: int = 24
-    tolerance: float = 1e-6
     max_evaluations: float = 1e8
     penalty: float = 100.0
 

@@ -150,6 +150,23 @@ def test_cli_solve_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_usage_errors(capsys):
+    # Exit code 2 means infeasible, so usage errors must not use argparse's 2.
+    for argv in (
+        ["solve"],
+        ["solve", FIXTURES["worked"], "--count", "3"],
+        ["solve", FIXTURES["worked"], "--tolerance", "1e-3"],
+    ):
+        assert run_cli(argv) == 3
+        assert "usage:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli(["solve", "--help"])
+    assert exc_info.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+    assert run_cli(["verify", FIXTURES["worked"], "--tolerance", "1e-3"]) == 0
+    capsys.readouterr()
+
+
 def test_cli_stage1(capsys):
     assert run_cli(["stage1", FIXTURES["worked"]]) == 0
     doc = json.loads(capsys.readouterr().out)

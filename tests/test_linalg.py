@@ -1,9 +1,23 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import numpy as np
 import pytest
-from conftest import NEG_INF, assert_close, enumerate_cycle_means, rand_mat, reference_mat_mul
+from conftest import (
+    NEG_INF,
+    assert_close,
+    enumerate_cycle_means,
+    rand_mat,
+    rand_raw,
+    reference_mat_mul,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
+import tropsched
 from tropsched import linalg
 from tropsched.errors import (
     DimensionMismatch,
@@ -155,6 +169,64 @@ def test_spectral_radius_examples():
     assert_close(spectral_radius(TropMatrix([[3.5]])), 3.5)
 
 
+def _chain(n, weight):
+    """Acyclic chain 0 -> 1 -> ... -> n-1 of n - 1 arcs."""
+    w = np.full((n, n), NEG_INF)
+    w[np.arange(n - 1), np.arange(1, n)] = weight
+    return w
+
+
+def _block_triangular(source, sink, link):
+    """Digraph whose source block feeds its sink block through `link` only."""
+    p, q = len(source), len(sink)
+    w = np.full((p + q, p + q), NEG_INF)
+    w[:p, :p], w[p:, p:], w[:p, p:] = source, sink, link
+    return w
+
+
+def _multi_component_cases(rng):
+    """Digraphs with several strongly connected components (raw arrays)."""
+    hot = [[4.0, -1.0], [2.0, NEG_INF]]  # heaviest cycle: the loop, mean 4
+    cold = [[NEG_INF, 3.0, NEG_INF], [NEG_INF, NEG_INF, -2.0], [1.0, NEG_INF, 0.0]]
+    link = np.full((2, 3), NEG_INF)
+    link[1, 0] = 50.0  # heavy arcs between components lie on no cycle
+    cases = [
+        _block_triangular(hot, cold, link),  # heaviest cycle in the source
+        _block_triangular(cold, hot, link.T),  # heaviest cycle in the sink
+        np.array([[1.0]]),
+        np.array([[NEG_INF]]),
+        np.diag([-3.0, NEG_INF, 7.0, 2.0, NEG_INF]),  # disjoint self-loops
+        np.diag([-3.0, NEG_INF, -1.0]),
+    ]
+    path = _chain(9, 100.0)  # a long acyclic path feeds the 2-cycle 7 <-> 8
+    path[8, 7] = -97.0
+    cases.append(path)
+    cases += [_chain(n, 100.0) for n in range(1, 9)]  # acyclic: ZERO
+    for _ in range(60):
+        p, q = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        cases.append(
+            _block_triangular(
+                rand_raw(rng, p, p, density=0.4),
+                rand_raw(rng, q, q, density=0.4),
+                rand_raw(rng, p, q, density=0.5, lo=20, hi=40),
+            )
+        )
+    return cases + [w / 3.0 for w in cases]
+
+
+def _exact_cycle_mean(a):
+    """max_k tr(A^k) / k as a Fraction (None if acyclic); integer input only."""
+    best, power = None, a
+    for k in range(1, a.rows + 1):
+        if k > 1:
+            power = mat_mul(power, a)
+        tr = trace(power)
+        if not tr.is_zero:
+            ratio = Fraction(int(tr.raw), k)
+            best = ratio if best is None else max(best, ratio)
+    return best
+
+
 def test_spectral_radius_matches_cycle_enumeration(rng):
     for _ in range(40):
         n = int(rng.integers(1, 6))
@@ -168,12 +240,33 @@ def test_spectral_radius_matches_cycle_enumeration(rng):
 
 
 def test_karp_agrees_with_trace_formula(rng):
+    cases = []
     for _ in range(100):
         n = int(rng.integers(1, 7))
-        a = rand_mat(rng, n, n, density=float(rng.uniform(0.2, 1.0)))
+        cases.append(rand_raw(rng, n, n, density=float(rng.uniform(0.2, 1.0))))
+    for w in cases + _multi_component_cases(rng):
+        a = TropMatrix(w)
         k = spectral_radius(a)
         t = spectral_radius_via_traces(a)
         assert (k.is_zero and t.is_zero) or k.isclose(t)
+        if np.array_equal(w, np.round(w)):
+            exact = _exact_cycle_mean(a)
+            assert k.raw == (NEG_INF if exact is None else float(exact))
+
+
+def test_package_import_loads_no_scipy():
+    # The cycle mean needs numpy only; scipy would add about 0.4 s and
+    # 30 MB to every process that imports the package.
+    src = str(Path(tropsched.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys, tropsched, tropsched.io_cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_rho_product_commutes(rng):
