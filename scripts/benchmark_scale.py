@@ -2,8 +2,9 @@
 """Time the solver across instance sizes.
 
 Stars and Karp cycle means are cubic in their order (m or n); the
-stage-two form tables take O(p^2) matrix-vector steps, p = min(m, n), at
-orders m and n, which is quartic on square instances.  Doubling a square size should therefore
+stage-two form tables take p max-plus products, one per anti-diagonal,
+p = min(m, n), at orders m and n: O(n^2 p^2) scalar operations, which is
+quartic on square instances.  Doubling a square size should therefore
 cost between eight and sixteen times as much once per-call overhead stops
 dominating; the timings give a quick sanity check of that trend plus the
 absolute wall at the sizes we care about, up to the 70x70 reference size.

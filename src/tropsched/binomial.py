@@ -13,10 +13,10 @@ cell (k, l) carries exactly k A-factors, the table separates the terms of
 the truncated power sum of (A + B) by A-degree.
 
 The stage-two pipeline uses only the vector forms (``form_columns``),
-which propagate the triangle on one right-hand vector at O(n^2 p^2).  The
-matrix table (``build_table`` and the power, trace and per-degree trace
-sums built on it) is library surface and the reference the tests check
-the pipeline's stage-two term families against.
+which propagate the triangle on one right-hand vector by one max-plus
+product per anti-diagonal, at O(n^2 p^2).  The matrix table (``build_table``
+and the power, trace and per-degree trace sums built on it) is library
+surface and the reference the tests check the stage-two term families against.
 """
 
 from __future__ import annotations
@@ -115,33 +115,29 @@ def form_columns(
 
     Only right-multiplied table columns are needed, so the triangle is
     propagated on vectors: e[k, l] = P e[k-1, l] + Q e[k, l-1] with
-    e[k, 0] = P^k rhs and e[0, l] = (I + Q + ... + Q^l) rhs.  This avoids
-    materialising matrix cells and costs O(n^2 p^2).  Each step is one
-    max-plus matrix-vector product on the raw arrays, with the same sums
-    as ``mat_mul``.  Column k of the d x (p+1) result is T[k, p-k] . rhs;
-    a row vector times it gives every per-degree bilinear form at once.
+    e[k, 0] = P^k rhs and e[0, l] = rhs + Q e[0, l-1].  Anti-diagonal k + l = s
+    is one ``mat_mul`` of the cells of s - 1, as rows, with [P; Q]^T, whose
+    halves are P e and Q e: p products and O(n^2 p^2) scalar operations, each
+    walk summed as in a cell-by-cell fill, so the result is the same to the
+    bit.  Column k of the d x (p+1) result is T[k, p-k] . rhs; a row vector
+    times it gives every per-degree bilinear form at once.
     """
     d = _check_pair(p_mat, q_mat)
     if p < 1:
         raise ValueError("truncation order p must be >= 1")
     if rhs.cols != 1 or rhs.rows != d:
         raise DimensionMismatch(f"form requires a {d}x1 rhs, got {rhs.shape}")
-    pw, qw = p_mat.raw, q_mat.raw
-    out = np.empty((d, p + 1))
-    # row[l] holds e[k, l] for the current k, l = 0..p-k.
-    row = np.empty((p + 1, d))
-    cur = rhs.raw[:, 0]
-    row[0] = cur
-    for l in range(1, p + 1):
-        cur = (qw + cur).max(axis=1)
-        row[l] = np.maximum(row[l - 1], cur)
-    out[:, 0] = row[p]
-    for k in range(1, p + 1):
-        row[0] = (pw + row[0]).max(axis=1)
-        for l in range(1, p - k + 1):
-            row[l] = np.maximum((pw + row[l]).max(axis=1), (qw + row[l - 1]).max(axis=1))
-        out[:, k] = row[p - k]
-    return TropMatrix._wrap(out)
+    # [P; Q]^T in row-major order, so the product's inner axis is contiguous.
+    pq_t = TropMatrix._wrap(np.vstack((p_mat.raw, q_mat.raw)).T.copy())
+    # Once anti-diagonal s is filled, rows 0..s of diag hold e[k, s-k].
+    diag = np.empty((p + 1, d))
+    diag[0] = rhs.raw[:, 0]
+    for s in range(1, p + 1):
+        pq = mat_mul(TropMatrix._wrap(diag[:s]), pq_t).raw
+        diag[1 : s + 1] = pq[:, :d]
+        diag[0] = rhs.raw[:, 0]
+        np.maximum(diag[:s], pq[:, d:], out=diag[:s])
+    return TropMatrix._wrap(diag.T.copy())
 
 
 def weighted_form_terms(

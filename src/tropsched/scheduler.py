@@ -242,11 +242,11 @@ def mu_term_families(inst: ProblemInstance) -> dict[str, TropValue]:
     core = (
         mat_mul(inst.C, dconj) if inst.m <= inst.n else mat_mul(dconj, inst.C)
     )
-    # Degree-k forms h~ (D~ C)^k g, (h~ D~ + r~)(C D~)^k q and r~ C (D~ C)^k g.
-    release = _chain_forms(hc, dconj, inst.C, inst.g, k_max)
+    # Degree-k forms h~ (D~ C)^k g, r~ C (D~ C)^k g and (h~ D~ + r~)(C D~)^k q.
+    g_lhs = _stack(hc, mat_mul(rc, inst.C))
+    release, finish = _chain_forms(g_lhs, dconj, inst.C, inst.g, k_max)
     deadline_lhs = mat_add(mat_mul(hc, dconj), rc)
-    deadline = _chain_forms(deadline_lhs, inst.C, dconj, inst.q, k_max)
-    finish = _chain_forms(mat_mul(rc, inst.C), dconj, inst.C, inst.g, k_max)
+    (deadline,) = _chain_forms(deadline_lhs, inst.C, dconj, inst.q, k_max)
 
     return {
         "cycle_mean": spectral_radius(core),
@@ -258,13 +258,15 @@ def mu_term_families(inst: ProblemInstance) -> dict[str, TropValue]:
 
 def _chain_forms(
     lhs: TropMatrix, first: TropMatrix, second: TropMatrix, rhs: TropMatrix, k_max: int
-) -> TropMatrix:
-    # The 1 x (k_max + 1) row of forms lhs (first second)^k rhs, k = 0..k_max.
-    forms = np.empty((1, k_max + 1))
-    for k in range(k_max + 1):
-        forms[0, k] = mat_mul(lhs, rhs).raw[0, 0]
+) -> np.ndarray:
+    # Row i holds the forms lhs_i (first second)^k rhs, k = 0..k_max: all rows
+    # of lhs go through the chain together and are read off in one product.
+    rows = [lhs.raw]
+    for _ in range(k_max):
         lhs = mat_mul(mat_mul(lhs, first), second)
-    return TropMatrix._wrap(forms)
+        rows.append(lhs.raw)
+    forms = mat_mul(TropMatrix._wrap(np.vstack(rows)), rhs).raw
+    return forms.reshape(k_max + 1, lhs.rows).T
 
 
 def compute_mu(inst: ProblemInstance) -> TropValue:
@@ -359,18 +361,18 @@ def eta_term_families(
 
     return {
         "cycle_traces": cycle,
-        "worker_release": _rooted_join(mat_mul(lhs_g, g_forms), 0),
-        "task_deadline": _rooted_join(mat_mul(lhs_q, q_forms), 0),
-        "lateness_chain": _rooted_join(mat_mul(lhs_a, g_forms), 1),
+        "worker_release": _rooted_join(mat_mul(lhs_g, g_forms).raw[0], 0),
+        "task_deadline": _rooted_join(mat_mul(lhs_q, q_forms).raw[0], 0),
+        "lateness_chain": _rooted_join(mat_mul(lhs_a, g_forms).raw[0], 1),
     }
 
 
-def _rooted_join(forms: TropMatrix, offset: int) -> TropValue:
-    # Join of the (k + offset)-th roots of the 1 x (p+1) per-degree forms,
-    # over the degrees k where k + offset >= 1.
+def _rooted_join(forms: np.ndarray, offset: int) -> TropValue:
+    # Join of the (k + offset)-th roots of the per-degree forms (raw values,
+    # k = 0..p), over the degrees k where k + offset >= 1.
     return t_join(
-        t_pow(forms.entry(0, k), 1.0 / (k + offset))
-        for k in range(1 - offset, forms.cols)
+        t_pow(TropValue.from_raw(float(forms[k])), 1.0 / (k + offset))
+        for k in range(1 - offset, len(forms))
     )
 
 

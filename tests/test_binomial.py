@@ -1,10 +1,14 @@
+import numpy as np
 import pytest
-from conftest import assert_close, rand_mat
+from conftest import NEG_INF, assert_close, rand_mat
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropsched.binomial import (
     binomial_power_sum,
     binomial_trace_sum,
     build_table,
+    form_columns,
     weighted_form_terms,
     weighted_trace_terms,
 )
@@ -131,6 +135,66 @@ def test_terms_match_enumeration(rng):
         for k in range(0, p + 1):
             ref = naive_form_term(lhs, p_mat, q_mat, rhs, k, p - k)
             assert (ft[k].is_zero and ref.is_zero) or ft[k].isclose(ref)
+
+
+def triangle_form_columns(p_mat, q_mat, rhs, p):
+    """Reference: the vector triangle filled cell by cell.
+
+    e[k, l] = P e[k-1, l] + Q e[k, l-1] with e[k, 0] = P^k rhs and
+    e[0, l] = (I + Q + ... + Q^l) rhs, one matrix-vector step per term;
+    column k of the result is e[k, p-k].
+    """
+    pw, qw = p_mat.raw, q_mat.raw
+    d = pw.shape[0]
+    out = np.empty((d, p + 1))
+    # row[l] holds e[k, l] for the current k, l = 0..p-k.
+    row = np.empty((p + 1, d))
+    cur = rhs.raw[:, 0]
+    row[0] = cur
+    for l in range(1, p + 1):
+        cur = (qw + cur).max(axis=1)
+        row[l] = np.maximum(row[l - 1], cur)
+    out[:, 0] = row[p]
+    for k in range(1, p + 1):
+        row[0] = (pw + row[0]).max(axis=1)
+        for l in range(1, p - k + 1):
+            row[l] = np.maximum((pw + row[l]).max(axis=1), (qw + row[l - 1]).max(axis=1))
+        out[:, k] = row[p - k]
+    return out
+
+
+@st.composite
+def form_cases(draw):
+    """(P, Q, rhs, p): order 1..8, p up to 2d + 1, with holes, thirds and shifts."""
+    d = draw(st.integers(1, 8))
+    p = draw(st.integers(1, 2 * d + 1))
+    transform = draw(st.sampled_from(["integer", "thirds", "shift", "shifted_thirds"]))
+
+    def arr(rows, cols, holes):
+        size = rows * cols
+        ints = draw(st.lists(st.integers(-6, 6), min_size=size, max_size=size))
+        vals = np.array(ints, dtype=float)
+        if "thirds" in transform:
+            vals /= 3.0
+        if "shift" in transform:
+            vals += 1e9
+        if holes:
+            mask = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+            vals[np.array(mask)] = NEG_INF
+        return TropMatrix(vals.reshape(rows, cols))
+
+    return arr(d, d, True), arr(d, d, True), arr(d, 1, draw(st.booleans())), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(form_cases())
+def test_form_columns_match_triangle_loop(case):
+    # Filling by anti-diagonal products changes only the order in which the
+    # cells are evaluated, so every entry must equal the cell loop's bit for bit.
+    p_mat, q_mat, rhs, p = case
+    got = form_columns(p_mat, q_mat, rhs, p)
+    assert got.shape == (p_mat.rows, p + 1)
+    assert np.array_equal(got.raw, triangle_form_columns(p_mat, q_mat, rhs, p))
 
 
 def test_degree_separation_reconstructs_trace_sum(rng):

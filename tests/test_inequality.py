@@ -106,13 +106,15 @@ def test_soundness_of_parameterization(rng):
 
 
 def _grid_points(lo, hi, step=0.5):
+    """Every point of the grid on the box [lo, hi], as the columns of an array."""
     axes = [np.arange(l, h + 1e-9, step) for l, h in zip(lo, hi)]
-    return itertools.product(*axes)
+    return np.array(list(itertools.product(*axes))).T
 
 
 def test_completeness_and_infeasibility_on_grid(rng):
     # Every feasible grid point must land inside the parameterised family,
     # and infeasible systems must have no regular grid solution at all.
+    # All grid points of a system are checked at once, as matrix columns.
     for _ in range(60):
         a, b, d = _random_system(rng)
         n = a.rows
@@ -120,22 +122,20 @@ def test_completeness_and_infeasibility_on_grid(rng):
         finite = [v for v in (a.raw[np.isfinite(a.raw)].tolist() + b.raw[np.isfinite(b.raw)].tolist() + d.raw[:, 0].tolist())]
         lo = [min(finite) - 2.0] * n
         hi = [max(finite) + 2.0] * n
-        for pt in _grid_points(lo, hi):
-            x = TropMatrix.column(list(pt))
-            ax_b = mat_add(mat_mul(a, x), b)
-            feasible = bool((ax_b.raw <= x.raw + 1e-9).all()) and bool(
-                (x.raw <= d.raw + 1e-9).all()
-            )
-            if not feasible:
-                continue
-            assert box.feasible, "solver reported infeasible but a grid point solves it"
-            # Membership: x must sit below the box's greatest solution and
-            # be recovered by the generator from its own coordinates.
-            top = mat_mul(box.generator, box.upper)
-            assert bool((x.raw <= top.raw + 1e-9).all())
-            w = np.maximum(x.raw, box.lower.raw)
-            regenerated = mat_mul(box.generator, TropMatrix(w))
-            assert regenerated.allclose(x, tol=1e-9)
+        points = _grid_points(lo, hi)
+        ax_b = np.maximum(mat_mul(a, TropMatrix(points)).raw, b.raw)
+        feasible = (ax_b <= points + 1e-9).all(axis=0) & (points <= d.raw + 1e-9).all(axis=0)
+        if not feasible.any():
+            continue
+        assert box.feasible, "solver reported infeasible but a grid point solves it"
+        x = points[:, feasible]
+        # Membership: each x must sit below the box's greatest solution and
+        # be recovered by the generator from its own coordinates.
+        top = mat_mul(box.generator, box.upper)
+        assert bool((x <= top.raw + 1e-9).all())
+        w = np.maximum(x, box.lower.raw)
+        regenerated = mat_mul(box.generator, TropMatrix(w))
+        assert regenerated.allclose(TropMatrix(x), tol=1e-9)
 
 
 def _skew_cases(rng, p, q):
