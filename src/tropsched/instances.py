@@ -103,17 +103,28 @@ def random_feasible_instance(
     max_tries: int = 200,
     **kwargs,
 ) -> ProblemInstance:
-    """Rejection-sample until both stages are feasible."""
-    relaxed = dict(kwargs)
-    for attempt in range(max_tries):
-        if attempt == max_tries // 2:
-            # Second half of the budget: bias towards feasibility.
-            relaxed["tame_second_stage"] = True
-            relaxed["box_width"] = max(8, int(relaxed.get("box_width", 6)))
-        inst = random_instance(rng, m, n, **relaxed)
+    """Rejection-sample until both stages are feasible.
+
+    The first half of the budget draws with ``kwargs``, the second half is
+    biased towards feasibility.  Once the budget is spent, up to max_tries
+    more draws also widen the boxes: stage one fails only where some
+    worker's latest start h_j is below q_i - D_ij, which wide worker boxes
+    make rare.
+    """
+    biased = dict(kwargs, tame_second_stage=True)
+    biased["box_width"] = max(8, int(biased.get("box_width", 6)))
+    wide = dict(biased, box_width=max(1000, biased["box_width"]))
+    for attempt in range(2 * max_tries):
+        if attempt < max_tries // 2:
+            opts = kwargs
+        elif attempt < max_tries:
+            opts = biased
+        else:
+            opts = wide
+        inst = random_instance(rng, m, n, **opts)
         if solve(inst).status == "optimal":
             return inst
-    raise RuntimeError(f"no feasible instance found in {max_tries} tries")
+    raise RuntimeError(f"no feasible instance found in {2 * max_tries} tries")
 
 
 def random_scale_instance(rng: np.random.Generator, m: int, n: int) -> ProblemInstance:

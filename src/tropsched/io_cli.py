@@ -6,6 +6,14 @@ and survives a round trip unambiguously.  NaN and infinities are rejected
 on input.  Reports are emitted with sorted keys and repr-exact floats, so
 identical inputs (and seeds) produce byte-identical files.
 
+Reports and instance files share one writer, ``dumps_report``.  For every
+JSON document (objects keyed by strings) its text is exactly that of
+``json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) +
+"\n"``.  With an indent set, json runs its pure-Python encoder, so the
+writer encodes each list compactly with json's C encoder and lays the
+text out itself when the list is a row of scalars or a matrix of such
+rows; only dicts and other lists are walked in Python.
+
 Exit codes: 0 solved feasible, 2 infeasible, 3 invalid input or usage
 error, 4 internal consistency failure, 5 oracle disagreement.
 """
@@ -16,6 +24,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -58,12 +67,21 @@ def _reject_constant(token: str):
     raise ParseError(f"non-finite literal {token!r} is not allowed")
 
 
+_NONE_TYPE = type(None)
+_PLAIN_ENTRY_TYPES = frozenset({int, float, _NONE_TYPE})
+
+
 def _checked_raw(values: list, where) -> list[float]:
-    # Entries as floats with -inf for null; where(j) names entry j, and is
-    # only called to word the error.
-    for j, x in enumerate(values):
-        if x is not None and (isinstance(x, bool) or not isinstance(x, (int, float))):
-            raise ParseError(f"{where(j)}: entry must be a number or null, got {x!r}")
+    # Entries as numbers with -inf for null; where(j) names entry j, and is
+    # only called to word the error.  A row of plain ints, floats and nulls
+    # passes in one test; any other row is checked entry by entry.
+    kinds = set(map(type, values))
+    if not kinds <= _PLAIN_ENTRY_TYPES:
+        for j, x in enumerate(values):
+            if x is not None and (isinstance(x, bool) or not isinstance(x, (int, float))):
+                raise ParseError(f"{where(j)}: entry must be a number or null, got {x!r}")
+    if _NONE_TYPE not in kinds:
+        return values
     return [_NEG_INF if x is None else x for x in values]
 
 
@@ -127,8 +145,7 @@ def instance_to_dict(inst: ProblemInstance) -> dict:
 
 def write_instance(inst: ProblemInstance, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(instance_to_dict(inst), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(dumps_report(instance_to_dict(inst)))
 
 
 # -- report serialization --------------------------------------------------------
@@ -141,7 +158,11 @@ def _value_to_json(v: TropValue | None) -> float | None:
 
 
 def _vector_to_list(v: TropMatrix) -> list[float | None]:
-    return [row[0] for row in v.to_rows()]
+    column = v.raw[:, 0]
+    values = column.tolist()
+    if (column == _NEG_INF).any():
+        values = [None if x == _NEG_INF else x for x in values]
+    return values
 
 
 def _solution_to_dict(sol: ScheduleSolution) -> dict:
@@ -215,8 +236,70 @@ def report_to_dict(
     return doc
 
 
+# Compact and C-coded (json uses its C encoder only when indent is None).
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+
+
+def _row(body: str, newline: str) -> str:
+    # The compact scalars "a,b,c" as an indent=1 list closed at newline.
+    inner = newline + " "
+    return "[" + inner + body.replace(",", "," + inner) + newline + "]"
+
+
+def _layout(value: Any, newline: str, out: list[str]) -> None:
+    # Append the indent=1 text of value; newline is "\n" and the indent of
+    # the line that closes value.
+    inner = newline + " "
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _layout(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        # A list that opens with an object is walked at once rather than
+        # encoded twice.  In compact text with no string or object in it,
+        # every comma and bracket is structural.
+        if not isinstance(value[0], dict):
+            text = _COMPACT.encode(value)
+            if '"' not in text and "{" not in text:
+                if text.find("[", 1) < 0:  # a row of scalars
+                    out.append(_row(text[1:-1], newline))
+                    return
+                rows = text[2:-2].split("],[")
+                if (
+                    text.startswith("[[")
+                    and text.endswith("]]")
+                    and "[]" not in text
+                    and text.count("[") == len(rows) + 1
+                ):  # a matrix of non-empty scalar rows
+                    laid = ("," + inner).join([_row(row, inner) for row in rows])
+                    out.append("[" + inner + laid + newline + "]")
+                    return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _layout(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(_COMPACT.encode(value))
+
+
 def dumps_report(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    """The text of json.dumps(doc, sort_keys=True, separators=(",", ": "),
+    indent=1) plus a newline, with per-entry work done in json's C encoder."""
+    out: list[str] = []
+    _layout(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def load_report(path: str) -> dict:
@@ -339,8 +422,8 @@ def _cmd_sample(args) -> int:
         v = _draw(rng, s2.v_lower.raw[:, 0], s2.v_upper.raw[:, 0])
         sol = materialize(s2, TropMatrix.column(u), TropMatrix.column(v), inst)
         entry = _solution_to_dict(sol)
-        entry["u"] = [float(x) for x in u]
-        entry["v"] = [float(x) for x in v]
+        entry["u"] = u.tolist()
+        entry["v"] = v.tolist()
         samples.append(entry)
     doc = report_to_dict(report, samples=samples, seed=args.seed)
     return _finish(report, doc, args)

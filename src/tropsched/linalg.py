@@ -122,9 +122,11 @@ class TropMatrix:
 
     def to_rows(self) -> list[list[float | None]]:
         """Nested lists with ``None`` in place of zero-element entries."""
-        return [
-            [None if x == _NEG_INF else x for x in row] for row in self._data.tolist()
-        ]
+        rows = self._data.tolist()
+        # Only the rows that hold the zero element are rewritten entry by entry.
+        for i in np.flatnonzero((self._data == _NEG_INF).any(axis=1)).tolist():
+            rows[i] = [None if x == _NEG_INF else x for x in rows[i]]
+        return rows
 
     def is_zero_matrix(self) -> bool:
         return bool((self._data == _NEG_INF).all())

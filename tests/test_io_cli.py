@@ -1,11 +1,15 @@
 import json
 
+import numpy as np
 import pytest
-from conftest import FIXTURES
+from conftest import FIXTURES, NEG_INF
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tropsched as ts
 from tropsched.errors import InvalidInstance, ParseError
 from tropsched.io_cli import (
+    _vector_to_list,
     dumps_report,
     instance_from_dict,
     instance_to_dict,
@@ -14,8 +18,15 @@ from tropsched.io_cli import (
     report_to_dict,
     report_to_text,
     run_cli,
+    write_instance,
 )
-from tropsched.instances import worked_example
+from tropsched.instances import (
+    random_feasible_instance,
+    random_instance,
+    random_scale_instance,
+    worked_example,
+)
+from tropsched.linalg import TropMatrix
 
 
 def test_parse_worked_fixture():
@@ -52,6 +63,76 @@ def test_parse_diagnostics():
         instance_from_dict(bad)
     with pytest.raises(ParseError):
         instance_from_dict([1, 2, 3])
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+@pytest.mark.parametrize("entry", [np.float64(4.5), _Int(4), _Float(4.5)])
+def test_parse_accepts_number_subclasses(entry):
+    doc = instance_to_dict(worked_example())
+    inst = instance_from_dict(dict(doc, A=[[entry]], g=[entry]))
+    assert inst.A.raw[0, 0] == entry and inst.g.raw[0, 0] == entry
+
+
+@pytest.mark.parametrize(
+    "field, row, message",
+    [
+        ("B", [False], "field 'B', row 0, column 0: entry must be a number or null, got False"),
+        ("C", ["4"], "field 'C', row 0, column 0: entry must be a number or null, got '4'"),
+        ("D", [[4]], "field 'D', row 0, column 0: entry must be a number or null, got [4]"),
+        ("h", [True], "field 'h', index 0: entry must be a number or null, got True"),
+        ("r", [[8]], "field 'r', index 0: entry must be a number or null, got [8]"),
+    ],
+)
+def test_parse_rejects_non_numbers(field, row, message):
+    doc = instance_to_dict(worked_example())
+    value = [row] if field in "ABCD" else row
+    with pytest.raises(ParseError) as exc_info:
+        instance_from_dict(dict(doc, **{field: value}))
+    assert str(exc_info.value) == message
+
+
+def test_parse_reports_first_bad_entry_of_mixed_row():
+    doc = dict(
+        instance_to_dict(worked_example()),
+        n=4,
+        A=[[1, None, np.float64(2.0), "x"]],
+    )
+    with pytest.raises(ParseError) as exc_info:
+        instance_from_dict(doc)
+    assert str(exc_info.value) == (
+        "field 'A', row 0, column 3: entry must be a number or null, got 'x'"
+    )
+
+
+def _old_rows(data):
+    # The per-entry conversion that to_rows replaces.
+    return [[None if x == NEG_INF else x for x in row] for row in data.tolist()]
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        np.array([[1.0, 2.5], [-3.0, 0.0]]),
+        np.full((2, 3), NEG_INF),
+        np.array([[1.0, NEG_INF, 2.0], [4.0, 5.0, 6.0], [NEG_INF, NEG_INF, 0.5]]),
+        np.array([[-0.0, NEG_INF], [0.0, -0.0]]),
+        np.array([[1.0 / 3.0], [NEG_INF], [-0.0]]),
+    ],
+)
+def test_row_conversion_matches_per_entry(data):
+    mat = TropMatrix(data)
+    # Compared as text, since -0.0 == 0.0.
+    assert repr(mat.to_rows()) == repr(_old_rows(data))
+    for j in range(data.shape[1]):
+        column = _vector_to_list(TropMatrix(data[:, j : j + 1]))
+        assert repr(column) == repr([row[0] for row in _old_rows(data[:, j : j + 1])])
 
 
 def test_parse_rejects_non_finite(tmp_path):
@@ -254,3 +335,113 @@ def test_cli_sample_deterministic(capsys):
     assert run_cli(["sample", FIXTURES["team_b"], "--count", "5", "--seed", "8"]) == 0
     third = capsys.readouterr().out
     assert third != first
+
+
+# -- the report writer against json's own indent=1 encoder ---------------------
+
+
+def _stdlib_text(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e22, 1 / 3,
+                   float("inf"), float("-inf"), float("nan")]
+_numbers = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from(_SPECIAL_FLOATS),
+)
+_texts = st.text(st.sampled_from(list(',[]{}"\\: \n\tae\u00e9\u20ac\U0001f600')) | st.characters())
+_scalars = _numbers | _texts
+_rows = st.lists(_numbers, max_size=5)
+_leaves = st.one_of(
+    _scalars,
+    _rows,
+    st.lists(_rows, max_size=4),  # ragged and empty rows
+    st.lists(st.lists(_rows, max_size=3), max_size=3),  # nested three deep
+)
+_documents = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_texts, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_documents)
+def test_writer_matches_stdlib(doc):
+    assert dumps_report(doc) == _stdlib_text(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        [[]],
+        [[], [1]],
+        [[1], []],
+        [[1], 2, [[3]]],
+        [[1, 2], [3]],
+        [[[1]], [[2, 3]]],
+        [1, [2]],
+        [[1], [2, [3]]],
+        [{"a": 1}, 2],
+        [2, {"a": 1}],
+        [["a"], [1]],
+        ["a,b", "[c]", "{d}", '"'],
+        {"b": [1.5, None, True], "a": {"d": [], "c": {}}},
+        {"k": [[1.0, None], [-0.0, 1e22]]},
+        (1, (2, 3)),
+        "text",
+        -0.0,
+        None,
+    ],
+)
+def test_writer_matches_stdlib_examples(doc):
+    assert dumps_report(doc) == _stdlib_text(doc)
+
+
+def test_writer_rejects_what_stdlib_rejects():
+    for doc in ({(1, 2): 3}, {"a": object()}, [1, object()]):
+        with pytest.raises(TypeError):
+            _stdlib_text(doc)
+        with pytest.raises(TypeError):
+            dumps_report(doc)
+
+
+def _thirds(inst):
+    doc = instance_to_dict(inst)
+    for name in ("A", "B", "C", "D"):
+        doc[name] = [[None if x is None else x / 3 for x in row] for row in doc[name]]
+    for name in ("g", "h", "q", "r"):
+        doc[name] = [x / 3 for x in doc[name]]
+    return instance_from_dict(doc)
+
+
+def test_cli_reports_match_stdlib_writer(tmp_path, capsys):
+    rng = np.random.default_rng(2026)
+    cases = [
+        (random_feasible_instance if (m + n) % 2 else random_instance)(rng, m, n)
+        for m in range(1, 7)
+        for n in range(1, 7)
+    ]
+    cases += [random_scale_instance(rng, m, n) for m, n in ((1, 60), (60, 1), (10, 100))]
+    src, out = tmp_path / "instance.json", tmp_path / "report.json"
+    for inst in cases:
+        for data in (inst, _thirds(inst)):
+            write_instance(data, str(src))
+            text = src.read_text()
+            assert text == json.dumps(instance_to_dict(data), sort_keys=True, indent=1) + "\n"
+            commands = [["solve"], ["stage1"], ["sample", "--count", "3"]]
+            if data.m * data.n <= 9:  # the grid oracle is sized for small instances
+                commands.append(["verify"])
+            for command in commands:
+                out.unlink(missing_ok=True)
+                code = run_cli([command[0], str(src), "--output", str(out), *command[1:]])
+                assert code in (0, 2, 5), (command, data.m, data.n)
+                text = out.read_text()
+                assert text == _stdlib_text(json.loads(text))
+    capsys.readouterr()

@@ -297,14 +297,19 @@ def test_extreme_points_spread(rng):
     best = {}
     for _ in range(60):
         m, n = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        try:
-            inst = random_feasible_instance(rng, m, n, max_tries=30)
-        except RuntimeError:
-            continue
+        inst = random_feasible_instance(rng, m, n, max_tries=30)
         rep = ts.solve(inst)
         assert len(rep.extreme) <= m + n + 1
         best[(m, n)] = max(best.get((m, n), 0), len(rep.extreme))
     assert any(k == m + n for (m, n), k in best.items())
+
+
+def test_random_feasible_instance_after_budget():
+    # This generator state gives no feasible draw in the first 200 tries;
+    # the widened draws after them must still find one.
+    inst = random_feasible_instance(np.random.default_rng(284), 4, 6)
+    assert (inst.m, inst.n) == (4, 6)
+    assert ts.solve(inst).status == "optimal"
 
 
 def _reference_schedule(result, u, v, inst):
