@@ -34,7 +34,6 @@ from .linalg import (
     conjugate,
     is_column_regular,
     is_regular,
-    is_row_regular,
     kleene_star,
     mat_add,
     mat_mul,

@@ -12,11 +12,11 @@ k + l <= p costs O(n^3 p^2) scalar operations.  Because every product in
 cell (k, l) carries exactly k A-factors, the table separates the terms of
 the truncated power sum of (A + B) by A-degree.
 
-The stage-two pipeline uses only the vector forms (``form_columns``),
-which propagate the triangle on one right-hand vector by one max-plus
-product per anti-diagonal, at O(n^2 p^2).  The matrix table (``build_table``
-and the power, trace and per-degree trace sums built on it) is library
-surface and the reference the tests check the stage-two term families against.
+Both stages use only the vector forms (``form_columns``), which propagate
+the triangle on one right-hand vector by one max-plus product per
+anti-diagonal, at O(n^2 p^2); a zero B (stage one) takes p products.  The
+matrix table (``build_table`` and the power, trace and per-degree trace
+sums built on it) is library surface and the tests' reference.
 """
 
 from __future__ import annotations
@@ -120,13 +120,19 @@ def form_columns(
     halves are P e and Q e: p products and O(n^2 p^2) scalar operations, each
     walk summed as in a cell-by-cell fill, so the result is the same to the
     bit.  Column k of the d x (p+1) result is T[k, p-k] . rhs; a row vector
-    times it gives every per-degree bilinear form at once.
+    times it gives every per-degree bilinear form at once.  With Q all zero,
+    T[k, l] = P^k: the columns are a chain of p products P e, same sums, same max.
     """
     d = _check_pair(p_mat, q_mat)
     if p < 1:
         raise ValueError("truncation order p must be >= 1")
     if rhs.cols != 1 or rhs.rows != d:
         raise DimensionMismatch(f"form requires a {d}x1 rhs, got {rhs.shape}")
+    if q_mat.is_zero_matrix():
+        columns = [rhs]
+        for _ in range(p):
+            columns.append(mat_mul(p_mat, columns[-1]))
+        return TropMatrix._wrap(np.hstack([col.raw for col in columns]))
     # [P; Q]^T in row-major order, so the product's inner axis is contiguous.
     pq_t = TropMatrix._wrap(np.vstack((p_mat.raw, q_mat.raw)).T.copy())
     # Once anti-diagonal s is filled, rows 0..s of diag hold e[k, s-k].

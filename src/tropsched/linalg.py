@@ -270,11 +270,6 @@ def is_column_regular(a: TropMatrix) -> bool:
     return bool(np.isfinite(a._data).any(axis=0).all())
 
 
-def is_row_regular(a: TropMatrix) -> bool:
-    """True when no row is entirely zero."""
-    return bool(np.isfinite(a._data).any(axis=1).all())
-
-
 def spectral_radius(a: TropMatrix) -> TropValue:
     """Maximum cycle mean of the weighted digraph of a (Karp's algorithm).
 

@@ -157,9 +157,16 @@ def _axis_points(lo: float, hi: float, step: float) -> np.ndarray:
     return pts
 
 
-def _grid_count(lo: np.ndarray, hi: np.ndarray, step: float) -> float:
-    widths = np.maximum(hi - lo, 0.0)
-    return float(np.prod(np.floor(widths / step) + 2))
+def _grid_exceeds(lo: np.ndarray, hi: np.ndarray, step: float, limit: float) -> bool:
+    # Whether the grid has more than limit points.  Every axis has at least
+    # two, so the running product only grows and stops once it passes the
+    # limit; the product over all axes can overflow float64.
+    count = 1.0
+    for points in (np.floor(np.maximum(hi - lo, 0.0) / step) + 2).tolist():
+        count *= points
+        if count > limit:
+            return True
+    return False
 
 
 def _iter_grid(lo: np.ndarray, hi: np.ndarray, step: float, chunk: int = 200_000):
@@ -251,7 +258,7 @@ def _refined_search(
     if not ev.box_feasible() or not (lo <= hi + _FEAS_SLACK).all():
         return False, np.inf, None, []
     hi = np.maximum(hi, lo)
-    if _grid_count(lo, hi, spec.initial_step) > spec.max_evaluations:
+    if _grid_exceeds(lo, hi, spec.initial_step, spec.max_evaluations):
         raise GridTooLarge(
             f"initial grid would exceed {spec.max_evaluations:g} evaluations"
         )

@@ -3,11 +3,12 @@
 Two projects share worker start times and task due dates.  Stage one picks
 the schedule set minimising the maximum lateness of the first project;
 stage two minimises the second project's maximum lateness over that set.
-Both optima come out in closed form: the stage-one value mu joins a cycle
-mean with root-scaled boundary-path weights, and the stage-two value eta
-joins four term families.  Its cycle family is the maximum cycle mean of
-Q* P (one star and one Karp pass at order min(m, n)); the other three are
-root-scaled, degree-separated bilinear forms.
+Both optima come out in closed form, each the join of four term families
+from one routine: stage one is stage two with an empty coupling block (D~
+for the combined conjugate, C as the objective lags, C1 = Q = S = zero).
+The cycle family is the maximum cycle mean of Q* P (one star and one Karp
+pass at order min(m, n)); the other three are root-scaled, degree-separated
+bilinear forms.
 The full solution set is a pair of star generators acting on parameters
 ranging over a box, with at most m + n + 1 extreme schedules; they are the
 images of the box corners, all computed in one batched product.
@@ -118,7 +119,7 @@ class StageOneResult:
 
 @dataclass(frozen=True)
 class DerivedMatrices:
-    """Products shared by every stage-two quantity."""
+    """The products of one stage (in stage one D1conj = D~ and C1, Q, S are zero)."""
 
     D1conj: TropMatrix  # n x m, join of the conjugates of B and D
     C1: TropMatrix  # m x n, C scaled down by mu
@@ -232,41 +233,21 @@ def mu_term_families(inst: ProblemInstance) -> dict[str, TropValue]:
     release_chain: root-scaled paths from worker releases back to release
     deadlines; deadline_chain: the same through task due-date bounds;
     finish_chain: paths from releases to task deadlines through the
-    start-finish lags.  The optimum is the join of all four.
+    start-finish lags.  The optimum is the join of all four.  They are the
+    stage-two families with P = C D~, R = D~ C, zero C1, Q, S and lags C.
     """
-    hc = conjugate(inst.h)
-    rc = conjugate(inst.r)
+    m, n = inst.m, inst.n
     dconj = _conj_or_zero(inst.D)
-    k_max = min(inst.m, inst.n)
-
-    core = (
-        mat_mul(inst.C, dconj) if inst.m <= inst.n else mat_mul(dconj, inst.C)
+    dm = DerivedMatrices(
+        D1conj=dconj,
+        C1=TropMatrix.zeros(m, n),
+        P=mat_mul(inst.C, dconj),
+        Q=TropMatrix.zeros(m, m),
+        R=mat_mul(dconj, inst.C),
+        S=TropMatrix.zeros(n, n),
     )
-    # Degree-k forms h~ (D~ C)^k g, r~ C (D~ C)^k g and (h~ D~ + r~)(C D~)^k q.
-    g_lhs = _stack(hc, mat_mul(rc, inst.C))
-    release, finish = _chain_forms(g_lhs, dconj, inst.C, inst.g, k_max)
-    deadline_lhs = mat_add(mat_mul(hc, dconj), rc)
-    (deadline,) = _chain_forms(deadline_lhs, inst.C, dconj, inst.q, k_max)
-
-    return {
-        "cycle_mean": spectral_radius(core),
-        "release_chain": _rooted_join(release, 0),
-        "deadline_chain": _rooted_join(deadline, 0),
-        "finish_chain": _rooted_join(finish, 1),
-    }
-
-
-def _chain_forms(
-    lhs: TropMatrix, first: TropMatrix, second: TropMatrix, rhs: TropMatrix, k_max: int
-) -> np.ndarray:
-    # Row i holds the forms lhs_i (first second)^k rhs, k = 0..k_max: all rows
-    # of lhs go through the chain together and are read off in one product.
-    rows = [lhs.raw]
-    for _ in range(k_max):
-        lhs = mat_mul(mat_mul(lhs, first), second)
-        rows.append(lhs.raw)
-    forms = mat_mul(TropMatrix._wrap(np.vstack(rows)), rhs).raw
-    return forms.reshape(k_max + 1, lhs.rows).T
+    families = ("cycle_mean", "release_chain", "deadline_chain", "finish_chain")
+    return dict(zip(families, _term_families(dm, inst.C, inst)))
 
 
 def compute_mu(inst: ProblemInstance) -> TropValue:
@@ -343,6 +324,15 @@ def eta_term_families(
     Requires a passing stage-two condition (``check_stage2_feasibility``):
     the star of Q (or S) raises StarDiverges on a positive cycle.
     """
+    families = ("cycle_traces", "worker_release", "task_deadline", "lateness_chain")
+    return dict(zip(families, _term_families(dm, inst.A, inst)))
+
+
+def _term_families(
+    dm: DerivedMatrices, lags: TropMatrix, inst: ProblemInstance
+) -> tuple[TropValue, ...]:
+    # Cycle, release, deadline and lateness families of either stage, with
+    # lags the stage's objective start-finish lags (C or A).
     hc = conjugate(inst.h)
     rc = conjugate(inst.r)
     k_max = min(inst.m, inst.n)
@@ -352,19 +342,19 @@ def eta_term_families(
     else:
         cycle = spectral_radius(mat_mul(kleene_star(dm.S), dm.R))
 
-    # worker_release and lateness_chain contract the same (R, S, g) forms.
+    # The release and lateness families contract the same (R, S, g) forms.
     g_forms = form_columns(dm.R, dm.S, inst.g, k_max)
     q_forms = form_columns(dm.P, dm.Q, inst.q, k_max)
     lhs_g = mat_add(mat_mul(rc, dm.C1), hc)  # 1 x n
     lhs_q = mat_add(mat_mul(hc, dm.D1conj), rc)  # 1 x m
-    lhs_a = mat_mul(rc, inst.A)  # 1 x n
+    lhs_a = mat_mul(rc, lags)  # 1 x n
 
-    return {
-        "cycle_traces": cycle,
-        "worker_release": _rooted_join(mat_mul(lhs_g, g_forms).raw[0], 0),
-        "task_deadline": _rooted_join(mat_mul(lhs_q, q_forms).raw[0], 0),
-        "lateness_chain": _rooted_join(mat_mul(lhs_a, g_forms).raw[0], 1),
-    }
+    return (
+        cycle,
+        _rooted_join(mat_mul(lhs_g, g_forms).raw[0], 0),
+        _rooted_join(mat_mul(lhs_q, q_forms).raw[0], 0),
+        _rooted_join(mat_mul(lhs_a, g_forms).raw[0], 1),
+    )
 
 
 def _rooted_join(forms: np.ndarray, offset: int) -> TropValue:

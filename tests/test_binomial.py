@@ -165,7 +165,10 @@ def triangle_form_columns(p_mat, q_mat, rhs, p):
 
 @st.composite
 def form_cases(draw):
-    """(P, Q, rhs, p): order 1..8, p up to 2d + 1, with holes, thirds and shifts."""
+    """(P, Q, rhs, p): order 1..8, p up to 2d + 1, with holes, thirds and shifts.
+
+    One draw in four has an all-zero Q, which ``form_columns`` runs as a chain.
+    """
     d = draw(st.integers(1, 8))
     p = draw(st.integers(1, 2 * d + 1))
     transform = draw(st.sampled_from(["integer", "thirds", "shift", "shifted_thirds"]))
@@ -183,7 +186,8 @@ def form_cases(draw):
             vals[np.array(mask)] = NEG_INF
         return TropMatrix(vals.reshape(rows, cols))
 
-    return arr(d, d, True), arr(d, d, True), arr(d, 1, draw(st.booleans())), p
+    q_mat = TropMatrix.zeros(d, d) if draw(st.integers(0, 3)) == 0 else arr(d, d, True)
+    return arr(d, d, True), q_mat, arr(d, 1, draw(st.booleans())), p
 
 
 @settings(max_examples=300, deadline=None)

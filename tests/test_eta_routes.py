@@ -16,6 +16,13 @@ Agreement required:
   the correctly rounded largest ratio tr T[k, p-k] / k.  The table route
   itself rounds tr * (1/k) and can sit one ulp off that value;
 - cycle family elsewhere (non-dyadic data, large shifts): within 1e-9.
+
+The stage-one families come from the same routine with a zero coupling
+block.  Their reference is the left-to-right chain the solver used before:
+row forms lhs (D~ C)^k and lhs (C D~)^k carried through the chain and read
+off against g or q.  The two routes add the same weights in a different
+order, so they must agree bit for bit on integer-valued data and within
+1e-9 times the largest finite entry elsewhere.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from hypothesis import strategies as st
 
 from tropsched.binomial import build_table, weighted_form_terms, weighted_trace_terms
 from tropsched.errors import InvalidInstance, StarDiverges
-from tropsched.instances import random_scale_instance, worked_example
+from tropsched.instances import random_instance, random_scale_instance, worked_example
 from tropsched.linalg import TropMatrix, conjugate, mat_add, mat_mul, spectral_radius
 from tropsched.scheduler import (
     ProblemInstance,
@@ -39,6 +46,7 @@ from tropsched.scheduler import (
     compute_mu,
     derive_matrices,
     eta_term_families,
+    mu_term_families,
 )
 from tropsched.semiring import TropValue, t_join, t_pow
 
@@ -83,6 +91,47 @@ def table_route(dm, inst, form_terms=weighted_form_terms) -> dict[str, TropValue
             form_terms(lhs_a, dm.R, dm.S, inst.g, k_max), 1
         ),
     }
+
+
+def chain_mu_families(inst: ProblemInstance) -> dict[str, TropValue]:
+    """The four stage-one families by the left-to-right chain."""
+    m, n, c = inst.m, inst.n, inst.C
+    hc, rc = conjugate(inst.h), conjugate(inst.r)
+    dconj = TropMatrix.zeros(n, m) if inst.D.is_zero_matrix() else conjugate(inst.D)
+    k_max = min(m, n)
+
+    def chain(lhs, first, second, rhs):
+        # One {k: lhs_i (first second)^k rhs} dict per row i of lhs, k = 0..k_max.
+        rows = [lhs.raw]
+        for _ in range(k_max):
+            lhs = mat_mul(mat_mul(lhs, first), second)
+            rows.append(lhs.raw)
+        forms = mat_mul(TropMatrix(np.vstack(rows)), rhs).raw
+        return [dict(enumerate(map(TropValue.from_raw, row.tolist())))
+                for row in forms.reshape(k_max + 1, lhs.rows).T]
+
+    core = mat_mul(c, dconj) if m <= n else mat_mul(dconj, c)
+    g_lhs = TropMatrix(np.vstack((hc.raw, mat_mul(rc, c).raw)))
+    release, finish = chain(g_lhs, dconj, c, inst.g)
+    (deadline,) = chain(mat_add(mat_mul(hc, dconj), rc), c, dconj, inst.q)
+    return {
+        "cycle_mean": spectral_radius(core),
+        "release_chain": _rooted(release, 0),
+        "deadline_chain": _rooted(deadline, 0),
+        "finish_chain": _rooted(finish, 1),
+    }
+
+
+def assert_mu_matches_chain(inst: ProblemInstance) -> None:
+    got, ref = mu_term_families(inst), chain_mu_families(inst)
+    assert got.keys() == ref.keys()
+    fields = [getattr(inst, name) for name in "ABCDghqr"]
+    if _integer_valued(*fields):
+        assert got == ref
+        return
+    largest = max(np.abs(f.raw[np.isfinite(f.raw)]).max(initial=0.0) for f in fields)
+    for name in got:
+        assert got[name].isclose(ref[name], 1e-9 * max(1.0, largest)), name
 
 
 def _integer_valued(*mats: TropMatrix) -> bool:
@@ -191,6 +240,7 @@ SEEDED = {
 @pytest.mark.parametrize("name", sorted(SEEDED))
 def test_seeded_instances(name):
     inst = SEEDED[name]
+    assert_mu_matches_chain(inst)
     dm = _stage2_ready(inst)
     assert dm is not None, "seeded case must pass both stage conditions"
     assert_routes_agree(inst, dm)
@@ -208,6 +258,16 @@ def test_marginal_zero_weight_cycle(m, n, seed):
     assert check_stage2_feasibility(dm, inst)[1].raw == 0.0
     assert_routes_agree(inst, dm)
     assert_routes_agree(thirds(inst), _stage2_ready(thirds(inst)))
+
+
+@pytest.mark.parametrize(
+    "m,n", [(1, 1), (3, 5), (5, 3), (6, 6), (40, 5), (5, 40), (30, 30)]
+)
+def test_mu_families_match_chain_on_integer_data(m, n):
+    rng = np.random.default_rng(m * 100 + n)
+    for _ in range(3):
+        assert_mu_matches_chain(random_instance(rng, m, n))
+        assert_mu_matches_chain(random_scale_instance(rng, m, n))
 
 
 # -- generated cases --------------------------------------------------------------
@@ -282,6 +342,7 @@ def stage2_instances(draw):
 @given(stage2_instances())
 def test_generated_instances(case):
     label, inst = case
+    assert_mu_matches_chain(inst)
     dm = _stage2_ready(inst)
     assume(dm is not None)
     event(label)

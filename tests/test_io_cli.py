@@ -279,6 +279,27 @@ def test_cli_verify_worked(capsys):
     assert abs(ver["oracle_best"]["stage2"] - 2.0) <= 1e-6
 
 
+@pytest.mark.parametrize("m,n", [(6, 6), (10, 100)])
+def test_cli_verify_without_oracle_on_wide_boxes(tmp_path, capsys, m, n):
+    # The grid oracle refuses these boxes; verify still writes the solve
+    # report, marks the oracle as not run, and exits from the solve status.
+    src = tmp_path / "instance.json"
+    write_instance(random_scale_instance(np.random.default_rng(1), m, n), str(src))
+    assert run_cli(["solve", str(src)]) == 0
+    solved = json.loads(capsys.readouterr().out)
+    assert run_cli(["verify", str(src)]) == 0
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc.pop("verification") == {
+        "oracle_run": False,
+        "oracle_best": {"stage1": None, "stage2": None},
+        "agreement": None,
+    }
+    assert doc == solved
+    assert captured.err.startswith("oracle skipped: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_verify_infeasible_agrees(capsys):
     # Infeasible both ways: verdicts agree, exit reflects infeasibility.
     assert run_cli(["verify", FIXTURES["infeasible"]]) == 2

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import assert_close, rand_mat
@@ -118,6 +120,24 @@ def test_grid_too_large():
     )
     with pytest.raises(GridTooLarge):
         grid_search_stage1(inst, GridSpec(max_evaluations=1e6))
+
+
+def test_grid_size_check_matches_exact_count(rng):
+    # The size check decides on the exact point count, also for grids whose
+    # count is far beyond float64's range (110 axes) or unbounded.
+    from tropsched.oracle import _grid_exceeds
+
+    step = 0.5
+    for dims in (1, 3, 8, 110):
+        for _ in range(20):
+            lo = rng.integers(-50, 50, dims).astype(float)
+            hi = lo + rng.integers(0, 300, dims) / 4
+            exact = math.prod(int((b - a) // step) + 2 for a, b in zip(lo, hi))
+            limits = [1e6, 1e8] + ([exact, exact - 1] if exact < 2**53 else [])
+            for limit in limits:
+                assert _grid_exceeds(lo, hi, step, float(limit)) == (exact > limit)
+        lo[0] = float("-inf")
+        assert _grid_exceeds(lo, hi, step, 1e8)
 
 
 def test_grid_spec_overrides_box():
