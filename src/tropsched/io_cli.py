@@ -110,7 +110,7 @@ def instance_from_dict(doc: dict) -> ProblemInstance:
     if not isinstance(doc, dict):
         raise ParseError("instance document must be a JSON object")
     for key in ("m", "n"):
-        if not isinstance(doc.get(key), int) or doc[key] < 1:
+        if type(doc.get(key)) is not int or doc[key] < 1:  # bool is an int subclass
             raise ParseError(f"field {key!r}: expected a positive integer")
     m, n = doc["m"], doc["n"]
     mats = {name: _parse_matrix(doc, name, m, n) for name in _INSTANCE_MATRIX_FIELDS}

@@ -6,9 +6,9 @@ stage two minimises the second project's maximum lateness over that set.
 Both optima come out in closed form, each the join of four term families
 from one routine: stage one is stage two with an empty coupling block (D~
 for the combined conjugate, C as the objective lags, C1 = Q = S = zero).
-The cycle family is the maximum cycle mean of Q* P (one star and one Karp
-pass at order min(m, n)); the other three are root-scaled, degree-separated
-bilinear forms.
+The cycle family is the maximum cycle mean of S* R (m >= n) or Q* P, the
+closure read off the stage condition's star (one Karp pass at order
+min(m, n)); the other three are root-scaled, degree-separated bilinear forms.
 The full solution set is a pair of star generators acting on parameters
 ranging over a box, with at most m + n + 1 extreme schedules; they are the
 images of the box corners, all computed in one batched product.
@@ -40,6 +40,7 @@ from .errors import (
     ParameterOutOfBox,
     StageOneInfeasible,
     StageTwoInfeasible,
+    StarDiverges,
 )
 from .inequality import BoxSolutionSet, solve_double_inequality
 from .linalg import (
@@ -47,7 +48,6 @@ from .linalg import (
     TropMatrix,
     conjugate,
     is_regular,
-    kleene_star,
     mat_add,
     mat_mul,
     scalar_mul,
@@ -119,7 +119,9 @@ class StageOneResult:
 
 @dataclass(frozen=True)
 class DerivedMatrices:
-    """The products of one stage (in stage one D1conj = D~ and C1, Q, S are zero)."""
+    """One stage's products and condition box (stage one: D1conj = D~, C for A,
+    zero C1, Q, S).  The box's star closed S* (x block) if m >= n, else Q*.
+    """
 
     D1conj: TropMatrix  # n x m, join of the conjugates of B and D
     C1: TropMatrix  # m x n, C scaled down by mu
@@ -127,6 +129,7 @@ class DerivedMatrices:
     Q: TropMatrix  # m x m, C1 @ D1conj
     R: TropMatrix  # n x n, D1conj @ A
     S: TropMatrix  # n x n, D1conj @ C1
+    condition: BoxSolutionSet
 
 
 @dataclass(frozen=True)
@@ -202,6 +205,23 @@ def _stage_box(
     )
 
 
+def _stage(
+    inst: ProblemInstance, d_conj: TropMatrix, c1: TropMatrix, lags: TropMatrix
+) -> DerivedMatrices:
+    # One stage's products and condition, lags being the objective's lags;
+    # with no coupling block (stage one) Q and S are zero, not products.
+    coupled = not c1.is_zero_matrix()
+    return DerivedMatrices(
+        D1conj=d_conj,
+        C1=c1,
+        P=mat_mul(lags, d_conj),
+        Q=mat_mul(c1, d_conj) if coupled else TropMatrix.zeros(inst.m, inst.m),
+        R=mat_mul(d_conj, lags),
+        S=mat_mul(d_conj, c1) if coupled else TropMatrix.zeros(inst.n, inst.n),
+        condition=_stage_box(inst, d_conj, c1),
+    )
+
+
 def _optimum(terms: dict[str, TropValue], stage: str) -> TropValue:
     # Join of the term families; the zero element means nothing bounds the
     # objective from below.
@@ -236,16 +256,7 @@ def mu_term_families(inst: ProblemInstance) -> dict[str, TropValue]:
     start-finish lags.  The optimum is the join of all four.  They are the
     stage-two families with P = C D~, R = D~ C, zero C1, Q, S and lags C.
     """
-    m, n = inst.m, inst.n
-    dconj = _conj_or_zero(inst.D)
-    dm = DerivedMatrices(
-        D1conj=dconj,
-        C1=TropMatrix.zeros(m, n),
-        P=mat_mul(inst.C, dconj),
-        Q=TropMatrix.zeros(m, m),
-        R=mat_mul(dconj, inst.C),
-        S=TropMatrix.zeros(n, n),
-    )
+    dm = _stage(inst, _conj_or_zero(inst.D), TropMatrix.zeros(inst.m, inst.n), inst.C)
     families = ("cycle_mean", "release_chain", "deadline_chain", "finish_chain")
     return dict(zip(families, _term_families(dm, inst.C, inst)))
 
@@ -283,25 +294,16 @@ def stage1_solution_check(
 
 
 def derive_matrices(inst: ProblemInstance, mu: TropValue) -> DerivedMatrices:
-    """Products of the combined lag conjugates with both projects' lags."""
+    """Stage two's products and condition (``check_stage2_feasibility`` reads it)."""
     d1conj = mat_add(_conj_or_zero(inst.B), _conj_or_zero(inst.D))
-    c1 = scalar_mul(t_inv(mu), inst.C)
-    return DerivedMatrices(
-        D1conj=d1conj,
-        C1=c1,
-        P=mat_mul(inst.A, d1conj),
-        Q=mat_mul(c1, d1conj),
-        R=mat_mul(d1conj, inst.A),
-        S=mat_mul(d1conj, c1),
-    )
+    return _stage(inst, d1conj, scalar_mul(t_inv(mu), inst.C), inst.A)
 
 
 def check_stage2_feasibility(
     dm: DerivedMatrices, inst: ProblemInstance
 ) -> tuple[bool, TropValue]:
-    """Existence condition value for stage two and its verdict."""
-    box = _stage_box(inst, dm.D1conj, dm.C1)
-    return box.feasible, box.delta
+    """Stage two's existence condition value and verdict, from ``dm.condition``."""
+    return dm.condition.feasible, dm.condition.delta
 
 
 def eta_term_families(
@@ -318,11 +320,12 @@ def eta_term_families(
     The cycle term is the maximum cycle mean of Q* P.  Proof: tr T[k, p-k]
     is the heaviest closed walk of length <= p with exactly k P-arcs, and
     every pure-Q cycle is non-positive, so the join of their k-th roots is
-    the best elementary-cycle ratio, which is the cycle mean of Q* P.  When
-    m > n the same holds for S* R, which keeps the order at min(m, n).
+    the best elementary-cycle ratio, which is the cycle mean of Q* P, or of
+    S* R.  The closure is the block that the condition's star closed
+    directly: S* when m >= n (S* R at m == n too), Q* when m < n.
 
     Requires a passing stage-two condition (``check_stage2_feasibility``):
-    the star of Q (or S) raises StarDiverges on a positive cycle.
+    when that star diverged, StarDiverges is raised with its trace value.
     """
     families = ("cycle_traces", "worker_release", "task_deadline", "lateness_chain")
     return dict(zip(families, _term_families(dm, inst.A, inst)))
@@ -337,10 +340,14 @@ def _term_families(
     rc = conjugate(inst.r)
     k_max = min(inst.m, inst.n)
 
-    if inst.m <= inst.n:
-        cycle = spectral_radius(mat_mul(kleene_star(dm.Q), dm.P))
-    else:
-        cycle = spectral_radius(mat_mul(kleene_star(dm.S), dm.R))
+    star, tr = dm.condition.generator, dm.condition.delta
+    if star is None:
+        raise StarDiverges(f"star diverges: trace function value {tr.raw}", tr)
+    n = inst.n
+    if inst.m >= n:  # S* R
+        cycle = spectral_radius(mat_mul(TropMatrix._wrap(star.raw[:n, :n]), dm.R))
+    else:  # Q* P
+        cycle = spectral_radius(mat_mul(TropMatrix._wrap(star.raw[n:, n:]), dm.P))
 
     # The release and lateness families contract the same (R, S, g) forms.
     g_forms = form_columns(dm.R, dm.S, inst.g, k_max)

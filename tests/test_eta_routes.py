@@ -17,6 +17,11 @@ Agreement required:
   itself rounds tr * (1/k) and can sit one ulp off that value;
 - cycle family elsewhere (non-dyadic data, large shifts): within 1e-9.
 
+Both stages' cycle family must also equal, bit for bit, the direct route
+with its own closure: the maximum cycle mean of kleene_star(S) R when
+m >= n, else of kleene_star(Q) P.  The solver reads that closure off the
+stage condition's star instead of computing it again.
+
 The stage-one families come from the same routine with a zero coupling
 block.  Their reference is the left-to-right chain the solver used before:
 row forms lhs (D~ C)^k and lhs (C D~)^k carried through the chain and read
@@ -38,7 +43,14 @@ from hypothesis import strategies as st
 from tropsched.binomial import build_table, weighted_form_terms, weighted_trace_terms
 from tropsched.errors import InvalidInstance, StarDiverges
 from tropsched.instances import random_instance, random_scale_instance, worked_example
-from tropsched.linalg import TropMatrix, conjugate, mat_add, mat_mul, spectral_radius
+from tropsched.linalg import (
+    TropMatrix,
+    conjugate,
+    kleene_star,
+    mat_add,
+    mat_mul,
+    spectral_radius,
+)
 from tropsched.scheduler import (
     ProblemInstance,
     check_stage1_feasibility,
@@ -93,11 +105,22 @@ def table_route(dm, inst, form_terms=weighted_form_terms) -> dict[str, TropValue
     }
 
 
+def direct_cycle(inst, p_mat, q_mat, r_mat, s_mat) -> TropValue:
+    """The cycle family with its own closure: S* R when m >= n, else Q* P."""
+    if inst.m >= inst.n:
+        return spectral_radius(mat_mul(kleene_star(s_mat), r_mat))
+    return spectral_radius(mat_mul(kleene_star(q_mat), p_mat))
+
+
+def _stage_one_dconj(inst: ProblemInstance) -> TropMatrix:
+    return TropMatrix.zeros(inst.n, inst.m) if inst.D.is_zero_matrix() else conjugate(inst.D)
+
+
 def chain_mu_families(inst: ProblemInstance) -> dict[str, TropValue]:
     """The four stage-one families by the left-to-right chain."""
     m, n, c = inst.m, inst.n, inst.C
     hc, rc = conjugate(inst.h), conjugate(inst.r)
-    dconj = TropMatrix.zeros(n, m) if inst.D.is_zero_matrix() else conjugate(inst.D)
+    dconj = _stage_one_dconj(inst)
     k_max = min(m, n)
 
     def chain(lhs, first, second, rhs):
@@ -125,6 +148,10 @@ def chain_mu_families(inst: ProblemInstance) -> dict[str, TropValue]:
 def assert_mu_matches_chain(inst: ProblemInstance) -> None:
     got, ref = mu_term_families(inst), chain_mu_families(inst)
     assert got.keys() == ref.keys()
+    m, n, c, dconj = inst.m, inst.n, inst.C, _stage_one_dconj(inst)
+    zero_q, zero_s = TropMatrix.zeros(m, m), TropMatrix.zeros(n, n)
+    direct = direct_cycle(inst, mat_mul(c, dconj), zero_q, mat_mul(dconj, c), zero_s)
+    assert got["cycle_mean"] == direct
     fields = [getattr(inst, name) for name in "ABCDghqr"]
     if _integer_valued(*fields):
         assert got == ref
@@ -164,6 +191,7 @@ def assert_routes_agree(inst: ProblemInstance, dm) -> None:
         assert got[name] == ref[name], name
         assert got[name].isclose(cells[name], 1e-9), name
     cycle = got["cycle_traces"]
+    assert cycle == direct_cycle(inst, dm.P, dm.Q, dm.R, dm.S)
     pair = (dm.P, dm.Q) if inst.m <= inst.n else (dm.R, dm.S)
     if _integer_valued(*pair):
         traces = weighted_trace_terms(*pair, min(inst.m, inst.n))

@@ -61,6 +61,10 @@ def test_parse_diagnostics():
         ParseError, match=r"^field 'q', index 0: entry must be a number or null, got '5'$"
     ):
         instance_from_dict(bad)
+    for key in ("m", "n"):
+        # bool is an int subclass; a size of true must not pass as 1.
+        with pytest.raises(ParseError, match=rf"^field '{key}': expected a positive integer$"):
+            instance_from_dict(dict(doc, **{key: True}))
     with pytest.raises(ParseError):
         instance_from_dict([1, 2, 3])
 
@@ -229,6 +233,10 @@ def test_cli_solve_exit_codes(tmp_path, capsys):
     bad.write_text('{"m": 1}')
     assert run_cli(["solve", str(bad)]) == 3
     capsys.readouterr()
+
+    bad.write_text(json.dumps(dict(instance_to_dict(worked_example()), m=True)))
+    assert run_cli(["solve", str(bad)]) == 3
+    assert capsys.readouterr().err == "invalid input: field 'm': expected a positive integer\n"
 
 
 def test_cli_usage_errors(capsys):

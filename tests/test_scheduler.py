@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -6,6 +7,7 @@ import pytest
 from conftest import FIXTURES, assert_close, rand_mat
 
 import tropsched as ts
+from tropsched import linalg
 from tropsched.errors import (
     InvalidInstance,
     ParameterOutOfBox,
@@ -18,6 +20,7 @@ from tropsched.instances import (
     random_scale_instance,
     worked_example,
 )
+from tropsched.io_cli import parse_instance
 from tropsched.linalg import TropMatrix, conjugate, is_regular, mat_add, mat_mul, scalar_mul
 from tropsched.semiring import TropValue, t_inv
 
@@ -442,6 +445,34 @@ def test_solve_memory_peak_is_bounded(m, n):
     finally:
         tracemalloc.stop()
     assert peak < 4_000_000
+
+
+def test_one_closure_per_stage(monkeypatch):
+    # Each stage closes its coupling block once, in the star of its
+    # condition: a feasible solve closes the stage-two block for the
+    # condition and the optimal set's block for the solution set, and stage
+    # one, whose coupling block is empty, closes nothing.  Every closure is
+    # of the smaller order.
+    closures = []
+    star = linalg.kleene_star
+
+    def counting(a):
+        closures.append(a.rows)
+        return star(a)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("tropsched") and getattr(mod, "kleene_star", None) is star:
+            monkeypatch.setattr(mod, "kleene_star", counting)
+    rng = np.random.default_rng(11)
+    cases = [worked_example(), parse_instance(FIXTURES["team_a"])]
+    cases += [random_scale_instance(rng, m, n) for m, n in ((3, 7), (7, 3), (6, 6))]
+    for inst in cases:
+        p = min(inst.m, inst.n)
+        closures.clear()
+        assert ts.solve_stage1(inst).status == "stage1_solved"
+        assert closures == []
+        assert ts.solve(inst).status == "optimal"
+        assert closures == [p, p]
 
 
 def test_solve_short_circuits():
