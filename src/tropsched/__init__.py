@@ -46,7 +46,6 @@ from .linalg import (
 )
 from .oracle import (
     GridSearchResult,
-    GridSpec,
     grid_search_stage1,
     grid_search_stage2,
     naive_binomial,

@@ -37,7 +37,7 @@ from .errors import (
     TropicalError,
 )
 from .linalg import TropMatrix
-from .oracle import GridSpec, grid_search_stage1, grid_search_stage2
+from .oracle import grid_search_stage1, grid_search_stage2
 from .scheduler import (
     MARGINAL_BAND,
     ProblemInstance,
@@ -400,8 +400,7 @@ def _cmd_verify(args) -> int:
 def _oracle_verification(
     inst: ProblemInstance, report: SolveReport, tol: float
 ) -> dict:
-    spec = GridSpec()
-    oracle1 = grid_search_stage1(inst, spec)
+    oracle1 = grid_search_stage1(inst)
     agreement = oracle1.found == report.stage1.feasible
     oracle_best: dict[str, float | None] = {
         "stage1": None if oracle1.best is None else oracle1.best.value
@@ -410,7 +409,7 @@ def _oracle_verification(
         agreement &= abs(oracle1.best.value - report.stage1.mu.value) <= tol
     oracle_best["stage2"] = None
     if report.stage1.feasible:
-        oracle2 = grid_search_stage2(inst, report.stage1.mu, spec)
+        oracle2 = grid_search_stage2(inst, report.stage1.mu)
         stage2_feasible = report.status == "optimal"
         agreement &= oracle2.found == stage2_feasible
         if oracle2.found:
@@ -458,6 +457,19 @@ def _draw(rng: np.random.Generator, lower: np.ndarray, upper: np.ndarray) -> np.
 # -- entry point ------------------------------------------------------------------
 
 
+def _non_negative(convert):
+    # An argparse type for a finite value >= 0: a negative --seed fails in
+    # np.random.default_rng, a negative --count draws nothing, and a NaN or
+    # negative --tolerance reads every oracle comparison as a disagreement.
+    def non_negative(text: str):
+        value = convert(text)
+        if not 0 <= value < float("inf"):
+            raise ValueError(text)
+        return value
+
+    return non_negative
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process; parse_args leaves the parser unchanged.
@@ -480,11 +492,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="json")
         if name == "verify":
             p.add_argument(
-                "--tolerance", type=float, default=1e-4, help="oracle agreement tolerance"
+                "--tolerance",
+                type=_non_negative(float),
+                default=1e-4,
+                help="oracle agreement tolerance",
             )
         if name == "sample":
-            p.add_argument("--count", type=int, default=10)
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--count", type=_non_negative(int), default=10)
+            p.add_argument("--seed", type=_non_negative(int), default=0)
         p.set_defaults(func=func)
     return parser
 

@@ -87,10 +87,6 @@ class TropMatrix:
     def column(cls, values: Iterable) -> "TropMatrix":
         return cls([[v] for v in values])
 
-    @classmethod
-    def row(cls, values: Iterable) -> "TropMatrix":
-        return cls([list(values)])
-
     # -- shape and access ---------------------------------------------------
 
     @property

@@ -17,12 +17,11 @@ are per-coordinate bounds), which the evaluator applies exactly; the grid
 therefore only has to cover start times.  Constraints that do not reduce
 to per-coordinate bounds are scored as an exact penalty, and the search
 certifies afterwards that the returned point actually satisfies them; see
-GridSpec.
+the grid-search constants below.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -110,34 +109,27 @@ def naive_form_term(
 # -- grid search over the original constraints ---------------------------------
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Refined grid-search policy.
-
-    The search box defaults to the one implied by the instance; `lower` and
-    `upper` override it per coordinate.  Each refinement round halves the
-    step and re-grids a window of two old steps around the incumbent, so
-    with slopes of at most one the certified gap after the last round is
-    proportional to the final step, `initial_step / 2**refinement_rounds`
-    (2.98e-8 at the defaults).
-
-    Constraints that could not be folded into the box enter the score as an
-    exact penalty `penalty * violation`.  The stage-one region is itself a
-    box, so there the penalty never fires; the stage-two region may be a
-    lower-dimensional slice of the box (its thin directions can sit at
-    non-dyadic offsets that no halving grid hits exactly), and the penalty
-    lets the refinement converge onto it from nearby grid points.  The
-    returned point's violation is checked afterwards: the search only
-    reports success when it is negligible, so a too-small penalty or an
-    empty region shows up as `found = False`, never as a wrong value.
-    """
-
-    lower: np.ndarray | None = None
-    upper: np.ndarray | None = None
-    initial_step: float = 0.5
-    refinement_rounds: int = 24
-    max_evaluations: float = 1e8
-    penalty: float = 100.0
+# Refined grid-search policy.  The search box is the one implied by the
+# instance.  Each refinement round halves the step and re-grids a window of
+# two old steps around the incumbent, so with slopes of at most one the
+# certified gap after the last round is proportional to the final step,
+# _INITIAL_STEP / 2**_REFINEMENT_ROUNDS (2.98e-8).
+_INITIAL_STEP = 0.5
+_REFINEMENT_ROUNDS = 24
+# An initial grid of more points than this raises GridTooLarge.
+_MAX_EVALUATIONS = 1e8
+# Constraints that could not be folded into the box enter the score as an
+# exact penalty _PENALTY * violation.  The stage-one region is itself a box,
+# so there the penalty never fires; the stage-two region may be a
+# lower-dimensional slice of the box (its thin directions can sit at
+# non-dyadic offsets that no halving grid hits exactly), and the penalty
+# lets the refinement converge onto it from nearby grid points.  The
+# returned point's violation is checked afterwards: the search only reports
+# success when it is negligible, so a too-small penalty or an empty region
+# shows up as `found = False`, never as a wrong value.
+_PENALTY = 100.0
+# Grid points evaluated per batch.
+_GRID_CHUNK = 200_000
 
 
 class GridSearchResult(NamedTuple):
@@ -169,12 +161,12 @@ def _grid_exceeds(lo: np.ndarray, hi: np.ndarray, step: float, limit: float) -> 
     return False
 
 
-def _iter_grid(lo: np.ndarray, hi: np.ndarray, step: float, chunk: int = 200_000):
+def _iter_grid(lo: np.ndarray, hi: np.ndarray, step: float):
     axes = [_axis_points(float(a), float(b), step) for a, b in zip(lo, hi)]
     dims = len(axes)
     total = int(np.prod([len(ax) for ax in axes]))
-    for start in range(0, total, chunk):
-        stop = min(total, start + chunk)
+    for start in range(0, total, _GRID_CHUNK):
+        stop = min(total, start + _GRID_CHUNK)
         idx = np.unravel_index(np.arange(start, stop), [len(ax) for ax in axes])
         block = np.empty((stop - start, dims))
         for d in range(dims):
@@ -248,30 +240,24 @@ class _StageEvaluator:
 
 
 def _refined_search(
-    ev: _StageEvaluator, spec: GridSpec
+    ev: _StageEvaluator,
 ) -> tuple[bool, float, np.ndarray | None, list[float]]:
     lo, hi = ev.box()
-    if spec.lower is not None:
-        lo = np.maximum(lo, np.asarray(spec.lower, dtype=float))
-    if spec.upper is not None:
-        hi = np.minimum(hi, np.asarray(spec.upper, dtype=float))
     if not ev.box_feasible() or not (lo <= hi + _FEAS_SLACK).all():
         return False, np.inf, None, []
     hi = np.maximum(hi, lo)
-    if _grid_exceeds(lo, hi, spec.initial_step, spec.max_evaluations):
-        raise GridTooLarge(
-            f"initial grid would exceed {spec.max_evaluations:g} evaluations"
-        )
+    if _grid_exceeds(lo, hi, _INITIAL_STEP, _MAX_EVALUATIONS):
+        raise GridTooLarge(f"initial grid would exceed {_MAX_EVALUATIONS:g} evaluations")
 
     best_score = np.inf
     best_pt: np.ndarray | None = None
-    step = spec.initial_step
+    step = _INITIAL_STEP
     history: list[float] = []
     win_lo, win_hi = lo, hi
-    for _ in range(spec.refinement_rounds + 1):
+    for _ in range(_REFINEMENT_ROUNDS + 1):
         for block in _iter_grid(win_lo, win_hi, step):
             objective, violation = ev.evaluate(block)
-            score = objective + spec.penalty * violation
+            score = objective + _PENALTY * violation
             i = int(score.argmin())
             if score[i] < best_score:
                 best_score = float(score[i])
@@ -288,8 +274,8 @@ def _refined_search(
     return True, float(objective[0]), best_pt, history
 
 
-def _grid_search(ev: _StageEvaluator, spec: GridSpec | None) -> GridSearchResult:
-    found, best, pt, history = _refined_search(ev, spec or GridSpec())
+def _grid_search(ev: _StageEvaluator) -> GridSearchResult:
+    found, best, pt, history = _refined_search(ev)
     if not found:
         return GridSearchResult(False, None, None, None, tuple(history))
     due = ev.due_dates(pt)
@@ -302,14 +288,12 @@ def _grid_search(ev: _StageEvaluator, spec: GridSpec | None) -> GridSearchResult
     )
 
 
-def grid_search_stage1(inst: ProblemInstance, spec: GridSpec | None = None) -> GridSearchResult:
+def grid_search_stage1(inst: ProblemInstance) -> GridSearchResult:
     """Brute-force minimum of the first project's maximum lateness."""
-    return _grid_search(_StageEvaluator(inst, mu=None), spec)
+    return _grid_search(_StageEvaluator(inst, mu=None))
 
 
-def grid_search_stage2(
-    inst: ProblemInstance, mu: TropValue, spec: GridSpec | None = None
-) -> GridSearchResult:
+def grid_search_stage2(inst: ProblemInstance, mu: TropValue) -> GridSearchResult:
     """Brute-force minimum of the second project's maximum lateness over the
     stage-one optimal set described by the given mu."""
-    return _grid_search(_StageEvaluator(inst, mu=float(mu.value)), spec)
+    return _grid_search(_StageEvaluator(inst, mu=float(mu.value)))

@@ -21,7 +21,10 @@ uses no start-finish block, stage two the mu-scaled first-project lags,
 and the solution set adds the eta-scaled second-project lags; each is a
 call to ``inequality.solve_double_inequality`` on a ``SkewBlock``, whose
 existence condition is the stage condition and whose star and box are
-the generators and the parameter box.
+the generators and the parameter box.  Each stage is built once: its
+verdict and its term families are read off the same ``DerivedMatrices``,
+so a feasible solve solves three double inequalities, stage one's, stage
+two's and the solution set's.
 
 All pipeline steps are pure functions over immutable inputs.
 """
@@ -59,6 +62,11 @@ from .semiring import TropValue, t_inv, t_join, t_pow
 # linalg); the slack absorbs representation error from root taking.  Values
 # within MARGINAL_BAND of the unit are flagged as marginal in reports.
 MARGINAL_BAND = 1e-7
+
+# Names of the term families of each stage, in the order _term_families
+# returns them: cycle, release, deadline and lateness.
+_MU_FAMILIES = ("cycle_mean", "release_chain", "deadline_chain", "finish_chain")
+_ETA_FAMILIES = ("cycle_traces", "worker_release", "task_deadline", "lateness_chain")
 
 
 # -- data model --------------------------------------------------------------
@@ -236,14 +244,20 @@ def _optimum(terms: dict[str, TropValue], stage: str) -> TropValue:
 # -- stage one ----------------------------------------------------------------
 
 
+def _stage_one(inst: ProblemInstance) -> DerivedMatrices:
+    # Before mu is known no start-finish lag binds: D~ for the conjugate, an
+    # all-zero coupling block, and C as the objective lags.
+    return _stage(inst, _conj_or_zero(inst.D), TropMatrix.zeros(inst.m, inst.n), inst.C)
+
+
 def check_stage1_feasibility(inst: ProblemInstance) -> tuple[bool, TropValue]:
     """Existence condition value for stage one and its verdict.
 
-    Before mu is known no start-finish lag binds, so the skew block has the
-    conjugate of D and an all-zero block.
+    A view of the stage-one build, whose ``DerivedMatrices`` also give
+    the mu families: ``solve_stage1`` reads both off one build.
     """
-    box = _stage_box(inst, _conj_or_zero(inst.D), TropMatrix.zeros(inst.m, inst.n))
-    return box.feasible, box.delta
+    dm = _stage_one(inst)
+    return dm.condition.feasible, dm.condition.delta
 
 
 def mu_term_families(inst: ProblemInstance) -> dict[str, TropValue]:
@@ -254,11 +268,10 @@ def mu_term_families(inst: ProblemInstance) -> dict[str, TropValue]:
     deadlines; deadline_chain: the same through task due-date bounds;
     finish_chain: paths from releases to task deadlines through the
     start-finish lags.  The optimum is the join of all four.  They are the
-    stage-two families with P = C D~, R = D~ C, zero C1, Q, S and lags C.
+    stage-two families with P = C D~, R = D~ C, zero C1, Q, S and lags C,
+    read off the stage-one build that also holds the stage condition.
     """
-    dm = _stage(inst, _conj_or_zero(inst.D), TropMatrix.zeros(inst.m, inst.n), inst.C)
-    families = ("cycle_mean", "release_chain", "deadline_chain", "finish_chain")
-    return dict(zip(families, _term_families(dm, inst.C, inst)))
+    return _term_families(_stage_one(inst), inst.C, inst, _MU_FAMILIES)
 
 
 def compute_mu(inst: ProblemInstance) -> TropValue:
@@ -327,15 +340,14 @@ def eta_term_families(
     Requires a passing stage-two condition (``check_stage2_feasibility``):
     when that star diverged, StarDiverges is raised with its trace value.
     """
-    families = ("cycle_traces", "worker_release", "task_deadline", "lateness_chain")
-    return dict(zip(families, _term_families(dm, inst.A, inst)))
+    return _term_families(dm, inst.A, inst, _ETA_FAMILIES)
 
 
 def _term_families(
-    dm: DerivedMatrices, lags: TropMatrix, inst: ProblemInstance
-) -> tuple[TropValue, ...]:
-    # Cycle, release, deadline and lateness families of either stage, with
-    # lags the stage's objective start-finish lags (C or A).
+    dm: DerivedMatrices, lags: TropMatrix, inst: ProblemInstance, names: tuple[str, ...]
+) -> dict[str, TropValue]:
+    # Cycle, release, deadline and lateness families of either stage, keyed
+    # by names, with lags the stage's objective start-finish lags (C or A).
     hc = conjugate(inst.h)
     rc = conjugate(inst.r)
     k_max = min(inst.m, inst.n)
@@ -356,12 +368,13 @@ def _term_families(
     lhs_q = mat_add(mat_mul(hc, dm.D1conj), rc)  # 1 x m
     lhs_a = mat_mul(rc, lags)  # 1 x n
 
-    return (
+    values = (
         cycle,
         _rooted_join(mat_mul(lhs_g, g_forms).raw[0], 0),
         _rooted_join(mat_mul(lhs_q, q_forms).raw[0], 0),
         _rooted_join(mat_mul(lhs_a, g_forms).raw[0], 1),
     )
+    return dict(zip(names, values))
 
 
 def _rooted_join(forms: np.ndarray, offset: int) -> TropValue:
@@ -528,16 +541,19 @@ def extreme_points(
 def solve_stage1(inst: ProblemInstance) -> SolveReport:
     """Stage one alone: its condition, and mu with its terms when it holds.
 
-    The report notes a condition value within the marginal band.
+    The verdict, condition value and term families are all read off one
+    stage-one builder call.  The report notes a condition value within the
+    marginal band.
     """
-    feasible, value = check_stage1_feasibility(inst)
+    dm = _stage_one(inst)
+    feasible, value = dm.condition.feasible, dm.condition.delta
     notes = []
     if abs(value.raw) <= MARGINAL_BAND:
         notes.append("stage-one condition value is within the marginal band")
     if not feasible:
         stage1, terms = StageOneResult(False, None, value), None
     else:
-        terms = mu_term_families(inst)
+        terms = _term_families(dm, inst.C, inst, _MU_FAMILIES)
         stage1 = StageOneResult(True, _optimum(terms, "stage-one"), value)
     return SolveReport(
         instance=inst,

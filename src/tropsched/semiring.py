@@ -40,10 +40,6 @@ class TropValue:
         return ZERO
 
     @classmethod
-    def unit(cls) -> "TropValue":
-        return UNIT
-
-    @classmethod
     def of(cls, x: "TropValue | float | int | None") -> "TropValue":
         """Coerce a number, ``None`` (= zero element) or TropValue."""
         if isinstance(x, TropValue):

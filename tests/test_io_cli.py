@@ -245,6 +245,13 @@ def test_cli_usage_errors(capsys):
         ["solve"],
         ["solve", FIXTURES["worked"], "--count", "3"],
         ["solve", FIXTURES["worked"], "--tolerance", "1e-3"],
+        ["sample", FIXTURES["team_a"], "--seed", "-1"],
+        ["sample", FIXTURES["infeasible"], "--seed", "-1"],
+        ["sample", FIXTURES["team_a"], "--count", "-3"],
+        ["sample", FIXTURES["team_a"], "--count", "x"],
+        ["verify", FIXTURES["worked"], "--tolerance", "nan"],
+        ["verify", FIXTURES["worked"], "--tolerance", "-1"],
+        ["verify", FIXTURES["worked"], "--tolerance", "inf"],
     ):
         assert run_cli(argv) == 3
         assert "usage:" in capsys.readouterr().err
@@ -253,7 +260,10 @@ def test_cli_usage_errors(capsys):
     assert exc_info.value.code == 0
     assert "usage:" in capsys.readouterr().out
     assert run_cli(["verify", FIXTURES["worked"], "--tolerance", "1e-3"]) == 0
+    assert run_cli(["verify", FIXTURES["worked"], "--tolerance", "0"]) == 0
     capsys.readouterr()
+    assert run_cli(["sample", FIXTURES["team_a"], "--count", "0", "--seed", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["samples"] == []
 
 
 def test_cli_stage1(capsys):

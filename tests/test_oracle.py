@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from conftest import assert_close, rand_mat
 
@@ -9,7 +8,6 @@ from tropsched.errors import GridTooLarge, StarDiverges
 from tropsched.instances import worked_example
 from tropsched.linalg import TropMatrix, mat_add, mat_mul
 from tropsched.oracle import (
-    GridSpec,
     compositions_upto,
     grid_search_stage1,
     grid_search_stage2,
@@ -119,7 +117,7 @@ def test_grid_too_large():
         r=TropMatrix.column([2]),
     )
     with pytest.raises(GridTooLarge):
-        grid_search_stage1(inst, GridSpec(max_evaluations=1e6))
+        grid_search_stage1(inst)
 
 
 def test_grid_size_check_matches_exact_count(rng):
@@ -138,11 +136,3 @@ def test_grid_size_check_matches_exact_count(rng):
                 assert _grid_exceeds(lo, hi, step, float(limit)) == (exact > limit)
         lo[0] = float("-inf")
         assert _grid_exceeds(lo, hi, step, 1e8)
-
-
-def test_grid_spec_overrides_box():
-    # Narrowing the search window away from the optimum worsens the best value.
-    inst = worked_example()
-    narrow = grid_search_stage1(inst, GridSpec(lower=np.array([8.0]), upper=np.array([10.0])))
-    assert narrow.found
-    assert narrow.best.value >= 1.0 - 1e-9  # u >= 8 forces lateness u - 7

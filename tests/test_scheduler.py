@@ -7,7 +7,7 @@ import pytest
 from conftest import FIXTURES, assert_close, rand_mat
 
 import tropsched as ts
-from tropsched import linalg
+from tropsched import inequality, linalg
 from tropsched.errors import (
     InvalidInstance,
     ParameterOutOfBox,
@@ -448,31 +448,51 @@ def test_solve_memory_peak_is_bounded(m, n):
 
 
 def test_one_closure_per_stage(monkeypatch):
-    # Each stage closes its coupling block once, in the star of its
-    # condition: a feasible solve closes the stage-two block for the
-    # condition and the optimal set's block for the solution set, and stage
-    # one, whose coupling block is empty, closes nothing.  Every closure is
-    # of the smaller order.
-    closures = []
+    # Each stage is one double inequality, solved once, whose star closes
+    # the stage's coupling block: a feasible solve solves stage one, stage
+    # two and the optimal set, closing the stage-two block for the condition
+    # and the optimal set's block for the solution set; stage one, whose
+    # coupling block is empty, closes nothing.  Every closure is of the
+    # smaller order.
+    closures, systems = [], []
     star = linalg.kleene_star
+    solve_system = inequality.solve_double_inequality
 
-    def counting(a):
+    def counting_star(a):
         closures.append(a.rows)
         return star(a)
 
+    def counting_solve(*args):
+        systems.append(args)
+        return solve_system(*args)
+
     for name, mod in list(sys.modules.items()):
-        if name.startswith("tropsched") and getattr(mod, "kleene_star", None) is star:
-            monkeypatch.setattr(mod, "kleene_star", counting)
+        if not name.startswith("tropsched"):
+            continue
+        if getattr(mod, "kleene_star", None) is star:
+            monkeypatch.setattr(mod, "kleene_star", counting_star)
+        if getattr(mod, "solve_double_inequality", None) is solve_system:
+            monkeypatch.setattr(mod, "solve_double_inequality", counting_solve)
     rng = np.random.default_rng(11)
     cases = [worked_example(), parse_instance(FIXTURES["team_a"])]
     cases += [random_scale_instance(rng, m, n) for m, n in ((3, 7), (7, 3), (6, 6))]
     for inst in cases:
         p = min(inst.m, inst.n)
         closures.clear()
+        systems.clear()
         assert ts.solve_stage1(inst).status == "stage1_solved"
-        assert closures == []
+        assert closures == [] and len(systems) == 1
+        systems.clear()
         assert ts.solve(inst).status == "optimal"
-        assert closures == [p, p]
+        assert closures == [p, p] and len(systems) == 3
+    # An infeasible stage stops the pipeline after its one system.
+    for key, status, solved in (
+        ("infeasible", "stage1_infeasible", 1),
+        ("stage2_infeasible", "stage2_infeasible", 2),
+    ):
+        systems.clear()
+        assert ts.solve(parse_instance(FIXTURES[key])).status == status
+        assert len(systems) == solved
 
 
 def test_solve_short_circuits():
