@@ -8,12 +8,15 @@ function and star therefore reduce to the block product of the smaller
 order: the star is one closure of that product plus four block products,
 cutting an (p+q)-order closure down to a min(p, q)-order one.  The
 double-inequality solver takes a SkewBlock directly, and both stages of
-the scheduler go through it.
+the scheduler go through it.  A SkewBlock computes each block product at
+most once, so the scheduler's Q = CB and S = BC are the products its star
+closes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +46,16 @@ class SkewBlock:
     def order(self) -> int:
         return self.B.rows + self.B.cols
 
+    @cached_property
+    def BC(self) -> TropMatrix:
+        """The block product B C (p x p), computed once per block."""
+        return mat_mul(self.B, self.C)
+
+    @cached_property
+    def CB(self) -> TropMatrix:
+        """The block product C B (q x q), computed once per block."""
+        return mat_mul(self.C, self.B)
+
 
 def _from_blocks(
     ul: TropMatrix, ur: TropMatrix, ll: TropMatrix, lr: TropMatrix
@@ -56,12 +69,6 @@ def assemble(sb: SkewBlock) -> TropMatrix:
     return _from_blocks(TropMatrix.zeros(p, p), sb.B, sb.C, TropMatrix.zeros(q, q))
 
 
-def _core(sb: SkewBlock) -> TropMatrix:
-    # The smaller of the two block products, BC (p x p) or CB (q x q).
-    p, q = sb.B.shape
-    return mat_mul(sb.B, sb.C) if p <= q else mat_mul(sb.C, sb.B)
-
-
 def skew_trace(sb: SkewBlock) -> TropValue:
     """Trace function of the assembled matrix, via the smaller block product.
 
@@ -71,7 +78,8 @@ def skew_trace(sb: SkewBlock) -> TropValue:
     compare the result against the unit themselves, which keeps the
     violating value available for diagnostics.
     """
-    return trace_function(_core(sb))
+    p, q = sb.B.shape
+    return trace_function(sb.BC if p <= q else sb.CB)
 
 
 def skew_star(sb: SkewBlock) -> TropMatrix:
@@ -89,12 +97,12 @@ def skew_star(sb: SkewBlock) -> TropMatrix:
     if sb.B.is_zero_matrix() or sb.C.is_zero_matrix():
         return _from_blocks(TropMatrix.identity(p), sb.B, sb.C, TropMatrix.identity(q))
     if p <= q:
-        ul = kleene_star(_core(sb))  # (BC)*
+        ul = kleene_star(sb.BC)
         ur = mat_mul(ul, sb.B)
         ll = mat_mul(sb.C, ul)
         lr = mat_add(TropMatrix.identity(q), mat_mul(ll, sb.B))
     else:
-        lr = kleene_star(_core(sb))  # (CB)*
+        lr = kleene_star(sb.CB)
         ll = mat_mul(lr, sb.C)
         ur = mat_mul(sb.B, lr)
         ul = mat_add(TropMatrix.identity(p), mat_mul(ur, sb.C))

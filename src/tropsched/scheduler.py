@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .binomial import form_columns
+from .binomial import form_families, pruned_form_families
 from .blockstar import SkewBlock
 from .errors import (
     InternalConsistency,
@@ -56,12 +56,20 @@ from .linalg import (
     scalar_mul,
     spectral_radius,
 )
-from .semiring import TropValue, t_inv, t_join, t_pow
+from .semiring import TropValue, t_inv, t_join
 
 # A feasibility condition value v passes when v <= FEASIBILITY_TOL (from
 # linalg); the slack absorbs representation error from root taking.  Values
 # within MARGINAL_BAND of the unit are flagged as marginal in reports.
 MARGINAL_BAND = 1e-7
+
+# Order p = min(m, n) from which a coupled stage fills its form tables with
+# pruning (binomial.pruned_form_families).  Full against pruned fill, ms per
+# table on random_scale_instance stage two (seeds 0-2, 2-core x86-64, NumPy
+# 2.4): p = 20: 0.71 / 1.41, 26: 1.33 / 1.28, 30: 1.83 / 1.61, 40: 5.42 /
+# 2.25.  Break-even fell between 26 and 30 from run to run; from 30 on the
+# pruned fill won in every run.
+_PRUNED_FILL_FROM = 30
 
 # Names of the term families of each stage, in the order _term_families
 # returns them: cycle, release, deadline and lateness.
@@ -203,30 +211,31 @@ def _stack(top: TropMatrix, bottom: TropMatrix) -> TropMatrix:
     return TropMatrix._wrap(np.vstack((top.raw, bottom.raw)))
 
 
-def _stage_box(
-    inst: ProblemInstance, d_conj: TropMatrix, c_block: TropMatrix
-) -> BoxSolutionSet:
-    # The system x >= d_conj y + g, y >= c_block x + q, x <= h, y <= r as
-    # one double inequality over z = (x, y).
+def _stage_box(inst: ProblemInstance, block: SkewBlock) -> BoxSolutionSet:
+    # The system x >= B y + g, y >= C x + q, x <= h, y <= r for block
+    # = (B, C), as one double inequality over z = (x, y).
     return solve_double_inequality(
-        SkewBlock(d_conj, c_block), _stack(inst.g, inst.q), _stack(inst.h, inst.r)
+        block, _stack(inst.g, inst.q), _stack(inst.h, inst.r)
     )
 
 
 def _stage(
     inst: ProblemInstance, d_conj: TropMatrix, c1: TropMatrix, lags: TropMatrix
 ) -> DerivedMatrices:
-    # One stage's products and condition, lags being the objective's lags;
-    # with no coupling block (stage one) Q and S are zero, not products.
+    # One stage's products and condition, lags being the objective's lags.
+    # Q and S are the skew block's products C B and B C, so its star closes
+    # the smaller without computing it again; with no coupling block (stage
+    # one) they are zero, not products.
+    block = SkewBlock(d_conj, c1)
     coupled = not c1.is_zero_matrix()
     return DerivedMatrices(
         D1conj=d_conj,
         C1=c1,
         P=mat_mul(lags, d_conj),
-        Q=mat_mul(c1, d_conj) if coupled else TropMatrix.zeros(inst.m, inst.m),
+        Q=block.CB if coupled else TropMatrix.zeros(inst.m, inst.m),
         R=mat_mul(d_conj, lags),
-        S=mat_mul(d_conj, c1) if coupled else TropMatrix.zeros(inst.n, inst.n),
-        condition=_stage_box(inst, d_conj, c1),
+        S=block.BC if coupled else TropMatrix.zeros(inst.n, inst.n),
+        condition=_stage_box(inst, block),
     )
 
 
@@ -337,6 +346,14 @@ def eta_term_families(
     S* R.  The closure is the block that the condition's star closed
     directly: S* when m >= n (S* R at m == n too), Q* when m < n.
 
+    The three form families are joins of rooted per-degree forms read off
+    two vector tables of the (k, l) triangle, on (R, S, g) and on (P, Q, q).
+    From min(m, n) >= 30 (``_PRUNED_FILL_FROM``) on, each table is filled by
+    ``binomial.pruned_form_families``, which multiplies only the rows that
+    can still reach a family's optimum and gives the full fill's families
+    to the bit; below it, and in stage one, ``form_families`` fills the whole
+    triangle, which is faster there.
+
     Requires a passing stage-two condition (``check_stage2_feasibility``):
     when that star diverged, StarDiverges is raised with its trace value.
     """
@@ -361,29 +378,19 @@ def _term_families(
     else:  # Q* P
         cycle = spectral_radius(mat_mul(TropMatrix._wrap(star.raw[n:, n:]), dm.P))
 
-    # The release and lateness families contract the same (R, S, g) forms.
-    g_forms = form_columns(dm.R, dm.S, inst.g, k_max)
-    q_forms = form_columns(dm.P, dm.Q, inst.q, k_max)
     lhs_g = mat_add(mat_mul(rc, dm.C1), hc)  # 1 x n
     lhs_q = mat_add(mat_mul(hc, dm.D1conj), rc)  # 1 x m
     lhs_a = mat_mul(rc, lags)  # 1 x n
-
-    values = (
-        cycle,
-        _rooted_join(mat_mul(lhs_g, g_forms).raw[0], 0),
-        _rooted_join(mat_mul(lhs_q, q_forms).raw[0], 0),
-        _rooted_join(mat_mul(lhs_a, g_forms).raw[0], 1),
-    )
-    return dict(zip(names, values))
-
-
-def _rooted_join(forms: np.ndarray, offset: int) -> TropValue:
-    # Join of the (k + offset)-th roots of the per-degree forms (raw values,
-    # k = 0..p), over the degrees k where k + offset >= 1.
-    return t_join(
-        t_pow(TropValue.from_raw(float(forms[k])), 1.0 / (k + offset))
-        for k in range(1 - offset, len(forms))
-    )
+    # A coupled stage of order at least _PRUNED_FILL_FROM fills its tables
+    # with pruning; below that, and in stage one, the full fill is faster.
+    if k_max >= _PRUNED_FILL_FROM and not dm.C1.is_zero_matrix():
+        fill = pruned_form_families
+    else:
+        fill = form_families
+    # The release and lateness families contract the same (R, S, g) table.
+    release, lateness = fill(dm.R, dm.S, inst.g, ((lhs_g, 0), (lhs_a, 1)), k_max)
+    (deadline,) = fill(dm.P, dm.Q, inst.q, ((lhs_q, 0),), k_max)
+    return dict(zip(names, (cycle, release, deadline, lateness)))
 
 
 def compute_eta(dm: DerivedMatrices, inst: ProblemInstance) -> TropValue:
@@ -409,7 +416,7 @@ def solution_set(
     set's skew block, (eta~ R + S)* for x and (eta~ P + Q)* for y; the
     parameter box is the double inequality's box, split into u and v.
     """
-    box = _stage_box(inst, dm.D1conj, _c_eta(dm, eta, inst))
+    box = _stage_box(inst, SkewBlock(dm.D1conj, _c_eta(dm, eta, inst)))
     if not box.feasible:
         raise InternalConsistency(
             "empty solution set at the computed optimum: "
