@@ -5,7 +5,6 @@ from .binomial import (
     binomial_power_sum,
     binomial_trace_sum,
     build_table,
-    weighted_form_terms,
     weighted_trace_terms,
 )
 from .blockstar import SkewBlock, assemble, skew_star, skew_trace

@@ -12,18 +12,17 @@ k + l <= p costs O(n^3 p^2) scalar operations.  Because every product in
 cell (k, l) carries exactly k A-factors, the table separates the terms of
 the truncated power sum of (A + B) by A-degree.
 
-Both stages use only the vector forms, which propagate the triangle on one
-right-hand vector.  ``form_columns`` fills it by one max-plus product per
-anti-diagonal, at O(n^2 p^2); a zero B (stage one) takes p products.
-``pruned_form_families`` fills the same triangle but multiplies only the
-rows that a bound shows can still reach a family's optimum, at O(n^2 p +
-n p^2) per family for the bounds and row tests plus O(n^2) per kept row.
-It returns the rooted families (``rooted_join``) themselves, bit for bit
-those of the full fill, ``form_families``.  The scheduler takes it for a
-coupled stage from p = 30 (``scheduler._PRUNED_FILL_FROM``), below which
-the full fill is faster.  The matrix table (``build_table`` and the power,
-trace and per-degree trace sums built on it) is library surface and the
-tests' reference.
+Both stages use only the vector forms, through one routine,
+``form_families``: it propagates the triangle on one right-hand vector by
+one max-plus product per anti-diagonal, at O(n^2 p^2), and returns the
+rooted families of per-degree bilinear forms read off the last
+anti-diagonal.  With a zero B (stage one) the table is the chain A^k rhs,
+p matrix-vector products.  From p = 30 on, the chain's families bound the
+fill, which then multiplies only the rows that can still reach a family's
+optimum, at O(n^2 p + n p^2) per family for the bounds and row tests plus
+O(n^2) per kept row, and gives the full fill's families bit for bit.  The
+matrix table (``build_table`` and the power, trace and per-degree trace
+sums built on it) is library surface and the tests' reference.
 """
 
 from __future__ import annotations
@@ -116,53 +115,12 @@ def weighted_trace_terms(
     return {k: trace(table.cell(k, p - k)) for k in range(1, p + 1)}
 
 
-def form_columns(
-    p_mat: TropMatrix, q_mat: TropMatrix, rhs: TropMatrix, p: int
-) -> TropMatrix:
-    """The anti-diagonal T[k, p-k] . rhs, k = 0..p, as the columns of a matrix.
-
-    Only right-multiplied table columns are needed, so the triangle is
-    propagated on vectors: e[k, l] = P e[k-1, l] + Q e[k, l-1] with
-    e[k, 0] = P^k rhs and e[0, l] = rhs + Q e[0, l-1].  Anti-diagonal k + l = s
-    is one ``mat_mul`` of the cells of s - 1, as rows, with [P; Q]^T, whose
-    halves are P e and Q e: p products and O(n^2 p^2) scalar operations, each
-    walk summed as in a cell-by-cell fill, so the result is the same to the
-    bit.  Column k of the d x (p+1) result is T[k, p-k] . rhs; a row vector
-    times it gives every per-degree bilinear form at once.  With Q all zero,
-    T[k, l] = P^k: the columns are a chain of p products P e, same sums, same max.
-    """
-    d = _check_pair(p_mat, q_mat)
-    if p < 1:
-        raise ValueError("truncation order p must be >= 1")
-    if rhs.cols != 1 or rhs.rows != d:
-        raise DimensionMismatch(f"form requires a {d}x1 rhs, got {rhs.shape}")
-    if q_mat.is_zero_matrix():
-        columns = [rhs]
-        for _ in range(p):
-            columns.append(mat_mul(p_mat, columns[-1]))
-        return TropMatrix._wrap(np.hstack([col.raw for col in columns]))
-    # [P; Q]^T in row-major order, so the product's inner axis is contiguous.
-    pq_t = TropMatrix._wrap(np.vstack((p_mat.raw, q_mat.raw)).T.copy())
-    # Once anti-diagonal s is filled, rows 0..s of diag hold e[k, s-k].
-    diag = np.empty((p + 1, d))
-    diag[0] = rhs.raw[:, 0]
-    for s in range(1, p + 1):
-        pq = mat_mul(TropMatrix._wrap(diag[:s]), pq_t).raw
-        diag[1 : s + 1] = pq[:, :d]
-        diag[0] = rhs.raw[:, 0]
-        np.maximum(diag[:s], pq[:, d:], out=diag[:s])
-    return TropMatrix._wrap(diag.T.copy())
-
-
-def rooted_join(forms: np.ndarray, offset: int) -> TropValue:
-    """Join of the (k + offset)-th roots of per-degree forms, over k + offset >= 1.
-
-    ``forms[k]`` is the raw value lhs . T[k, p-k] . rhs, k = 0..p.  Each
-    root is the float product forms[k] * (1 / (k + offset)) that ``t_pow``
-    takes, and a tie keeps the lowest degree, as ``t_join`` does.
-    """
-    roots = forms[1 - offset :] * (1.0 / np.arange(1, len(forms) + offset))
-    return TropValue.from_raw(float(roots[np.argmax(roots)]))
+# Order p from which form_families prunes its fill.  Full against pruned
+# fill, ms per table on random_scale_instance stage two (seeds 0-2, 2-core
+# x86-64, NumPy 2.4): p = 20: 0.71 / 1.41, 26: 1.33 / 1.28, 30: 1.83 / 1.61,
+# 40: 5.42 / 2.25.  Break-even fell between 26 and 30 from run to run; from
+# 30 on the pruned fill won in every run.
+_PRUNED_FILL_FROM = 30
 
 
 def form_families(
@@ -172,59 +130,49 @@ def form_families(
     forms: Sequence[tuple[TropMatrix, int]],
     p: int,
 ) -> list[TropValue]:
-    """``rooted_join(lhs . form_columns(P, Q, rhs, p), offset)`` for each
-    (lhs, offset) in ``forms``: the rooted families of the full fill."""
-    return _rooted_forms(form_columns(p_mat, q_mat, rhs, p), forms)
+    """The rooted per-degree bilinear forms of the (k, l) triangle.
 
+    For each (lhs, o) in ``forms``, the join over k + o >= 1 of the
+    (k + o)-th roots of lhs . T[k, p-k] . rhs, k = 0..p (``_rooted_join``).
 
-def _rooted_forms(
-    columns: TropMatrix, forms: Sequence[tuple[TropMatrix, int]]
-) -> list[TropValue]:
-    for lhs, _ in forms:
-        if lhs.rows != 1 or lhs.cols != columns.rows:
-            raise DimensionMismatch(
-                f"form requires a 1x{columns.rows} lhs, got {lhs.shape}"
-            )
-    return [rooted_join(mat_mul(lhs, columns).raw[0], o) for lhs, o in forms]
+    Only right-multiplied table columns are needed, so the triangle is
+    propagated on vectors: e[k, l] = P e[k-1, l] + Q e[k, l-1] with
+    e[k, 0] = P^k rhs and e[0, l] = rhs + Q e[0, l-1].  Anti-diagonal k + l = s
+    is one ``mat_mul`` of the cells of s - 1, as rows, with [P; Q]^T, whose
+    halves are P e and Q e: p products and O(n^2 p^2) scalar operations, each
+    walk summed as in a cell-by-cell fill, so the result is the same to the
+    bit.  The last anti-diagonal, e[k, p-k] = T[k, p-k] . rhs, gives every
+    per-degree form of one lhs in one product.
 
-
-def pruned_form_families(
-    p_mat: TropMatrix,
-    q_mat: TropMatrix,
-    rhs: TropMatrix,
-    forms: Sequence[tuple[TropMatrix, int]],
-    p: int,
-) -> list[TropValue]:
-    """``form_families(P, Q, rhs, forms, p)`` from a fill that skips the rows
-    that cannot reach a family's value.
-
-    The triangle is filled by anti-diagonal as in ``form_columns``, but row k
-    of anti-diagonal s - 1, the cell e = T[k, s-1-k] . rhs, goes into the
-    product for anti-diagonal s only when, for some family (lhs, o),
+    The pure-P chain lhs . P^k rhs, p products P e, is the table with Q all
+    zero, same sums, same max: with Q all zero (stage one) its families are
+    the result.  From p = 30 (``_PRUNED_FILL_FROM``) on, its families v bound
+    the fill instead: row k of anti-diagonal s - 1, the cell
+    e = T[k, s-1-k] . rhs, goes into the product for anti-diagonal s only
+    when, for some family (lhs, o),
 
         max_j fl(e_j + U[p-s+1]_j) >= v k - tau.
 
-    Here v is the family's value over the pure-P walks alone, its value with
-    Q all zero: the chain lhs . P^k rhs, which the table holds with the same
-    sums, so a walk of the table attains v.  U[r] bounds every
-    completion of at most r further arcs, P-arcs weighted P - v and Q-arcs
-    Q, ending in lhs - v o:
+    A walk of the table attains v, since the table holds the chain with the
+    same sums.  U[r] bounds every completion of at most r further arcs,
+    P-arcs weighted P - v and Q-arcs Q, ending in lhs - v o:
 
         U[0] = lhs - v o,    U[r] = U[r-1] + U[r-1] max(P - v, Q)  (max-plus),
 
     and tau = 8 eps (p+2)^2 M, with M the largest of 1, |v| (p+1) and the
     finite |P|, |Q|, |rhs| and |lhs|.  Rows left out are the zero element in
     the next anti-diagonal.  A family with no finite pure-P walk (v the zero
-    element) bounds nothing, and then every row is kept.
+    element) bounds nothing, and then every row is kept, as below p = 30,
+    where the full fill is faster.
 
-    Why the families are the full fill's to the bit.  Each float of the table
-    is the max over its walks of the walk's float sum, added from rhs on;
-    float addition is monotone and max is exact, so a pruned cell is the max
-    over a subset of its walks, each summed as in the full fill, and a pruned
-    family is at most the full one.  Let W be a walk that attains the full
-    family, V = fl(fl(w) * fl(1/(K+o))) >= v, with K P-arcs and n <= p + 2
-    terms of size at most M, float sum w~ and exact sum w.  With u = eps/2 the
-    unit roundoff, to first order:
+    Why the pruned families are the full fill's to the bit.  Each float of
+    the table is the max over its walks of the walk's float sum, added from
+    rhs on; float addition is monotone and max is exact, so a pruned cell is
+    the max over a subset of its walks, each summed as in the full fill, and
+    a pruned family is at most the full one.  Let W be a walk that attains
+    the full family, V = fl(fl(w) * fl(1/(K+o))) >= v, with K P-arcs and
+    n <= p + 2 terms of size at most M, float sum w~ and exact sum w.  With
+    u = eps/2 the unit roundoff, to first order:
 
     - |w~ - w| <= n^2 u M (recursive summation), and the two roundings of the
       root move at most 2u |w~|, so V >= v gives w - v (K+o) >= -(n^2 + 2n) u M.
@@ -246,8 +194,29 @@ def pruned_form_families(
     1e9-shifted sums and drops the winning walk there.
     """
     d = _check_pair(p_mat, q_mat)
-    lows = form_families(p_mat, TropMatrix.zeros(d, d), rhs, forms, p)
-    bounded = not any(low.is_zero for low in lows)
+    if p < 1:
+        raise ValueError("truncation order p must be >= 1")
+    if rhs.cols != 1 or rhs.rows != d:
+        raise DimensionMismatch(f"form requires a {d}x1 rhs, got {rhs.shape}")
+    for lhs, _ in forms:
+        if lhs.rows != 1 or lhs.cols != d:
+            raise DimensionMismatch(f"form requires a 1x{d} lhs, got {lhs.shape}")
+
+    def rooted(columns: np.ndarray) -> list[TropValue]:
+        # The families read off a d x (p+1) array of table columns.
+        columns = TropMatrix._wrap(columns)
+        return [_rooted_join(mat_mul(lhs, columns).raw[0], o) for lhs, o in forms]
+
+    zero_q = q_mat.is_zero_matrix()
+    bounded = False
+    if zero_q or p >= _PRUNED_FILL_FROM:
+        chain = [rhs]
+        for _ in range(p):
+            chain.append(mat_mul(p_mat, chain[-1]))
+        lows = rooted(np.hstack([col.raw for col in chain]))
+        if zero_q:
+            return lows
+        bounded = not any(low.is_zero for low in lows)
     if bounded:
         # Per family i: limits[i, k] = v k - tau and completions[r, i] = U[r].
         v = np.array([low.value for low in lows])
@@ -267,40 +236,39 @@ def pruned_form_families(
         for r in range(1, p + 1):
             completions[r] = (completions[r - 1][:, :, None] + hops).max(axis=1)
 
+    # [P; Q]^T in row-major order, so the product's inner axis is contiguous.
     pq_t = TropMatrix._wrap(np.vstack((p_mat.raw, q_mat.raw)).T.copy())
-    diag = rhs.raw.T  # row k holds e[k, s-k] once anti-diagonal s is filled
+    # Once anti-diagonal s is filled, rows 0..s of diag hold e[k, s-k].
+    diag = np.empty((p + 1, d))
+    diag[0] = rhs.raw[:, 0]
     for s in range(1, p + 1):
-        rows = np.arange(s)
         if bounded:
-            reach = (diag[None] + completions[p - s + 1][:, None]).max(axis=2)
+            reach = (diag[None, :s] + completions[p - s + 1][:, None]).max(axis=2)
             rows = np.flatnonzero((reach >= limits[:, :s]).any(axis=0))
-        nxt = np.full((s + 1, d), -np.inf)
-        if rows.size:
-            pq = mat_mul(TropMatrix._wrap(diag[rows]), pq_t).raw
-            nxt[rows + 1] = pq[:, :d]
-            nxt[rows] = np.maximum(nxt[rows], pq[:, d:])
-        nxt[0] = np.maximum(nxt[0], rhs.raw[:, 0])
-        diag = nxt
-    return _rooted_forms(TropMatrix._wrap(diag.T), forms)
+            cells = diag[rows]
+            diag[: s + 1] = -np.inf  # rows left out are the zero element
+            below, above = rows, rows + 1
+        else:
+            cells = diag[:s]
+            below, above = slice(0, s), slice(1, s + 1)
+        pq = mat_mul(TropMatrix._wrap(cells), pq_t).raw
+        diag[above] = pq[:, :d]
+        diag[0] = rhs.raw[:, 0]
+        diag[below] = np.maximum(diag[below], pq[:, d:])
+    return rooted(diag.T.copy())
+
+
+def _rooted_join(forms: np.ndarray, offset: int) -> TropValue:
+    """Join of the (k + offset)-th roots of per-degree forms, over k + offset >= 1.
+
+    ``forms[k]`` is the raw value lhs . T[k, p-k] . rhs, k = 0..p.  Each
+    root is the float product forms[k] * (1 / (k + offset)) that ``t_pow``
+    takes, and a tie keeps the lowest degree, as ``t_join`` does.
+    """
+    roots = forms[1 - offset :] * (1.0 / np.arange(1, len(forms) + offset))
+    return TropValue.from_raw(float(roots[np.argmax(roots)]))
 
 
 def _finite_abs_max(mat: TropMatrix) -> float:
     finite = mat.raw[np.isfinite(mat.raw)]
     return float(np.abs(finite).max(initial=0.0))
-
-
-def weighted_form_terms(
-    lhs: TropMatrix,
-    p_mat: TropMatrix,
-    q_mat: TropMatrix,
-    rhs: TropMatrix,
-    p: int,
-) -> dict[int, TropValue]:
-    """Per-degree bilinear forms lhs . T[k, p-k] . rhs for k = 0..p."""
-    columns = form_columns(p_mat, q_mat, rhs, p)
-    if lhs.rows != 1 or lhs.cols != columns.rows:
-        raise DimensionMismatch(
-            f"form requires a 1x{columns.rows} lhs, got {lhs.shape}"
-        )
-    forms = mat_mul(lhs, columns)
-    return {k: forms.entry(0, k) for k in range(p + 1)}

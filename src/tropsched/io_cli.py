@@ -2,9 +2,10 @@
 
 Instances and reports are JSON documents.  A matrix entry is a number or
 ``null``; null encodes the zero element (an absent lag / no constraint)
-and survives a round trip unambiguously.  NaN and infinities are rejected
-on input.  Reports are emitted with sorted keys and repr-exact floats, so
-identical inputs (and seeds) produce byte-identical files.
+and survives a round trip unambiguously.  NaN, infinities and numbers
+beyond the float range are rejected on input.  Reports are emitted with
+sorted keys and repr-exact floats, so identical inputs (and seeds) produce
+byte-identical files.
 
 Reports and instance files share one writer, ``dumps_report``.  For every
 JSON document (objects keyed by strings) its text is exactly that of
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Any
@@ -68,42 +70,68 @@ def _reject_constant(token: str):
     raise ParseError(f"non-finite literal {token!r} is not allowed")
 
 
-_NONE_TYPE = type(None)
-_PLAIN_ENTRY_TYPES = frozenset({int, float, _NONE_TYPE})
+_PLAIN_ENTRY_TYPES = frozenset({int, float, type(None)})
 
 
-def _checked_raw(values: list, where) -> list[float]:
-    # Entries as numbers with -inf for null; where(j) names entry j, and is
-    # only called to word the error.  A row of plain ints, floats and nulls
-    # passes in one test; any other row is checked entry by entry.
-    kinds = set(map(type, values))
-    if not kinds <= _PLAIN_ENTRY_TYPES:
+def _check_entries(values: list, where) -> None:
+    # where(j) names entry j, and is only called to word the error.  A row
+    # of plain ints, floats and nulls passes in one test; any other row is
+    # checked entry by entry.
+    if not set(map(type, values)) <= _PLAIN_ENTRY_TYPES:
         for j, x in enumerate(values):
             if x is not None and (isinstance(x, bool) or not isinstance(x, (int, float))):
                 raise ParseError(f"{where(j)}: entry must be a number or null, got {x!r}")
-    if _NONE_TYPE not in kinds:
-        return values
-    return [_NEG_INF if x is None else x for x in values]
+
+
+def _entry_array(rows: list[list], where) -> np.ndarray:
+    # Checked rows as a float array with -inf for null; where(i, j) names
+    # entry (i, j).  NumPy reads null as NaN.  json reads a literal beyond
+    # the float range as an infinity, or as an int too large to convert, so
+    # unless every entry but the nulls is finite, the entries are walked one
+    # by one and the first that is not a finite float is rejected by name.
+    try:
+        data = np.array(rows, dtype=np.float64)
+    except OverflowError:
+        data = None
+    nulls = sum(row.count(None) for row in rows)
+    if data is None or np.count_nonzero(np.isfinite(data)) + nulls != data.size:
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                try:
+                    bad = x is not None and not math.isfinite(x)
+                except OverflowError:
+                    bad = True
+                if bad:
+                    raise ParseError(f"{where(i, j)}: entry is not a finite float")
+    data[np.isnan(data)] = _NEG_INF
+    return data
 
 
 def _parse_matrix(doc: dict, name: str, rows: int, cols: int) -> TropMatrix:
     value = doc.get(name)
     if not isinstance(value, list) or len(value) != rows:
         raise ParseError(f"field {name!r}: expected {rows} rows")
-    data = []
+
+    def where(i: int, j: int) -> str:
+        return f"field {name!r}, row {i}, column {j}"
+
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"field {name!r}, row {i}: expected {cols} entries")
-        data.append(_checked_raw(row, lambda j: f"field {name!r}, row {i}, column {j}"))
-    return TropMatrix(np.array(data, dtype=np.float64))
+        _check_entries(row, functools.partial(where, i))
+    return TropMatrix(_entry_array(value, where))
 
 
 def _parse_vector(doc: dict, name: str, size: int) -> TropMatrix:
     value = doc.get(name)
     if not isinstance(value, list) or len(value) != size:
         raise ParseError(f"field {name!r}: expected a list of {size} numbers")
-    data = _checked_raw(value, lambda i: f"field {name!r}, index {i}")
-    return TropMatrix(np.array(data, dtype=np.float64)[:, None])
+
+    def where(_: int, i: int) -> str:
+        return f"field {name!r}, index {i}"
+
+    _check_entries(value, functools.partial(where, 0))
+    return TropMatrix(_entry_array([value], where).T)
 
 
 def instance_from_dict(doc: dict) -> ProblemInstance:
@@ -130,6 +158,8 @@ def parse_instance(path: str) -> ProblemInstance:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # not UTF-8 text, or an int past json's digit limit
+        raise ParseError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level value must be an object")
     return instance_from_dict(doc)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .binomial import form_families, pruned_form_families
+from .binomial import form_families
 from .blockstar import SkewBlock
 from .errors import (
     InternalConsistency,
@@ -62,14 +62,6 @@ from .semiring import TropValue, t_inv, t_join
 # linalg); the slack absorbs representation error from root taking.  Values
 # within MARGINAL_BAND of the unit are flagged as marginal in reports.
 MARGINAL_BAND = 1e-7
-
-# Order p = min(m, n) from which a coupled stage fills its form tables with
-# pruning (binomial.pruned_form_families).  Full against pruned fill, ms per
-# table on random_scale_instance stage two (seeds 0-2, 2-core x86-64, NumPy
-# 2.4): p = 20: 0.71 / 1.41, 26: 1.33 / 1.28, 30: 1.83 / 1.61, 40: 5.42 /
-# 2.25.  Break-even fell between 26 and 30 from run to run; from 30 on the
-# pruned fill won in every run.
-_PRUNED_FILL_FROM = 30
 
 # Names of the term families of each stage, in the order _term_families
 # returns them: cycle, release, deadline and lateness.
@@ -278,7 +270,9 @@ def mu_term_families(inst: ProblemInstance) -> dict[str, TropValue]:
     finish_chain: paths from releases to task deadlines through the
     start-finish lags.  The optimum is the join of all four.  They are the
     stage-two families with P = C D~, R = D~ C, zero C1, Q, S and lags C,
-    read off the stage-one build that also holds the stage condition.
+    read off the stage-one build that also holds the stage condition.  With
+    Q and S all zero, ``binomial.form_families`` reads each form family off
+    the plain chain of powers of R or P.
     """
     return _term_families(_stage_one(inst), inst.C, inst, _MU_FAMILIES)
 
@@ -347,12 +341,11 @@ def eta_term_families(
     directly: S* when m >= n (S* R at m == n too), Q* when m < n.
 
     The three form families are joins of rooted per-degree forms read off
-    two vector tables of the (k, l) triangle, on (R, S, g) and on (P, Q, q).
-    From min(m, n) >= 30 (``_PRUNED_FILL_FROM``) on, each table is filled by
-    ``binomial.pruned_form_families``, which multiplies only the rows that
-    can still reach a family's optimum and gives the full fill's families
-    to the bit; below it, and in stage one, ``form_families`` fills the whole
-    triangle, which is faster there.
+    two vector tables of the (k, l) triangle, on (R, S, g) and on (P, Q, q),
+    each one call to ``binomial.form_families`` at order min(m, n).  That
+    routine also chooses how to fill the table (whole, pruned to the rows
+    that can still reach a family, or as a plain P-chain when Q is all zero),
+    and every choice gives the same families to the bit.
 
     Requires a passing stage-two condition (``check_stage2_feasibility``):
     when that star diverged, StarDiverges is raised with its trace value.
@@ -381,15 +374,11 @@ def _term_families(
     lhs_g = mat_add(mat_mul(rc, dm.C1), hc)  # 1 x n
     lhs_q = mat_add(mat_mul(hc, dm.D1conj), rc)  # 1 x m
     lhs_a = mat_mul(rc, lags)  # 1 x n
-    # A coupled stage of order at least _PRUNED_FILL_FROM fills its tables
-    # with pruning; below that, and in stage one, the full fill is faster.
-    if k_max >= _PRUNED_FILL_FROM and not dm.C1.is_zero_matrix():
-        fill = pruned_form_families
-    else:
-        fill = form_families
     # The release and lateness families contract the same (R, S, g) table.
-    release, lateness = fill(dm.R, dm.S, inst.g, ((lhs_g, 0), (lhs_a, 1)), k_max)
-    (deadline,) = fill(dm.P, dm.Q, inst.q, ((lhs_q, 0),), k_max)
+    release, lateness = form_families(
+        dm.R, dm.S, inst.g, ((lhs_g, 0), (lhs_a, 1)), k_max
+    )
+    (deadline,) = form_families(dm.P, dm.Q, inst.q, ((lhs_q, 0),), k_max)
     return dict(zip(names, (cycle, release, deadline, lateness)))
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from tropsched.blockstar import SkewBlock
 from tropsched.linalg import TropMatrix
-from tropsched.semiring import TropValue
+from tropsched.semiring import TropValue, t_join, t_pow
 
 NEG_INF = float("-inf")
 
@@ -67,6 +67,47 @@ def reference_mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
                     best = max(best, wa[i, k] + wb[k, j])
             out[i, j] = best
     return TropMatrix(out)
+
+
+def triangle_form_columns(p_mat, q_mat, rhs, p):
+    """Reference: the vector triangle filled cell by cell.
+
+    e[k, l] = P e[k-1, l] + Q e[k, l-1] with e[k, 0] = P^k rhs and
+    e[0, l] = (I + Q + ... + Q^l) rhs, one matrix-vector step per term;
+    column k of the result is e[k, p-k].
+    """
+    pw, qw = p_mat.raw, q_mat.raw
+    d = pw.shape[0]
+    out = np.empty((d, p + 1))
+    # row[l] holds e[k, l] for the current k, l = 0..p-k.
+    row = np.empty((p + 1, d))
+    cur = rhs.raw[:, 0]
+    row[0] = cur
+    for l in range(1, p + 1):
+        cur = (qw + cur).max(axis=1)
+        row[l] = np.maximum(row[l - 1], cur)
+    out[:, 0] = row[p]
+    for k in range(1, p + 1):
+        row[0] = (pw + row[0]).max(axis=1)
+        for l in range(1, p - k + 1):
+            row[l] = np.maximum((pw + row[l]).max(axis=1), (qw + row[l - 1]).max(axis=1))
+        out[:, k] = row[p - k]
+    return out
+
+
+def triangle_form_terms(lhs, p_mat, q_mat, rhs, p) -> dict[int, TropValue]:
+    """Per-degree forms lhs . T[k, p-k] . rhs, k = 0..p, off the cell loop."""
+    forms = (lhs.raw[0][:, None] + triangle_form_columns(p_mat, q_mat, rhs, p)).max(axis=0)
+    return {k: TropValue.from_raw(float(x)) for k, x in enumerate(forms)}
+
+
+def rooted(terms: dict[int, TropValue], offset: int) -> TropValue:
+    """Join of the (k + offset)-th roots of per-degree terms, k + offset >= 1."""
+    return t_join(
+        t_pow(v, 1.0 / (k + offset))
+        for k, v in terms.items()
+        if k + offset >= 1 and not v.is_zero
+    )
 
 
 def enumerate_cycle_means(a: TropMatrix) -> float:

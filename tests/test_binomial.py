@@ -1,15 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from conftest import NEG_INF, assert_close, rand_mat
+from conftest import NEG_INF, assert_close, rand_mat, rooted, triangle_form_terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropsched import binomial
 from tropsched.binomial import (
     binomial_power_sum,
     binomial_trace_sum,
     build_table,
-    form_columns,
-    weighted_form_terms,
+    form_families,
     weighted_trace_terms,
 )
 from tropsched.errors import DimensionMismatch
@@ -108,16 +110,24 @@ def test_weighted_trace_terms_examples():
     assert all(v.is_zero for v in zero_terms.values())
 
 
-def test_weighted_form_terms_examples():
+def test_form_families_examples():
+    # The forms are -6 (k = 0) and -4 (k = 1): offset 0 roots the k = 1 form
+    # alone, offset 1 joins -6 / 1 with -4 / 2.
     lhs, rhs = TropMatrix([[-6]]), TropMatrix([[0]])
-    terms = weighted_form_terms(lhs, TropMatrix([[2]]), TropMatrix([[0]]), rhs, 1)
-    assert_close(terms[1], -4)
-    assert_close(terms[0], -6)
-    zero_lhs = TropMatrix.zeros(1, 2)
-    terms = weighted_form_terms(
-        zero_lhs, TropMatrix.identity(2), TropMatrix.identity(2), TropMatrix.column([0, 0]), 2
+    families = form_families(
+        TropMatrix([[2]]), TropMatrix([[0]]), rhs, ((lhs, 0), (lhs, 1)), 1
     )
-    assert all(v.is_zero for v in terms.values())
+    assert_close(families[0], -4)
+    assert_close(families[1], -2)
+    zero_lhs = TropMatrix.zeros(1, 2)
+    families = form_families(
+        TropMatrix.identity(2),
+        TropMatrix.identity(2),
+        TropMatrix.column([0, 0]),
+        ((zero_lhs, 0), (zero_lhs, 1)),
+        2,
+    )
+    assert all(v.is_zero for v in families)
 
 
 def test_terms_match_enumeration(rng):
@@ -128,46 +138,24 @@ def test_terms_match_enumeration(rng):
         lhs = rand_mat(rng, 1, d, density=1.0)
         rhs = rand_mat(rng, d, 1, density=1.0)
         tt = weighted_trace_terms(p_mat, q_mat, p)
-        ft = weighted_form_terms(lhs, p_mat, q_mat, rhs, p)
+        families = form_families(p_mat, q_mat, rhs, ((lhs, 0), (lhs, 1)), p)
         for k in range(1, p + 1):
             ref = naive_trace_term(p_mat, q_mat, k, p - k)
             assert (tt[k].is_zero and ref.is_zero) or tt[k].isclose(ref)
-        for k in range(0, p + 1):
-            ref = naive_form_term(lhs, p_mat, q_mat, rhs, k, p - k)
-            assert (ft[k].is_zero and ref.is_zero) or ft[k].isclose(ref)
-
-
-def triangle_form_columns(p_mat, q_mat, rhs, p):
-    """Reference: the vector triangle filled cell by cell.
-
-    e[k, l] = P e[k-1, l] + Q e[k, l-1] with e[k, 0] = P^k rhs and
-    e[0, l] = (I + Q + ... + Q^l) rhs, one matrix-vector step per term;
-    column k of the result is e[k, p-k].
-    """
-    pw, qw = p_mat.raw, q_mat.raw
-    d = pw.shape[0]
-    out = np.empty((d, p + 1))
-    # row[l] holds e[k, l] for the current k, l = 0..p-k.
-    row = np.empty((p + 1, d))
-    cur = rhs.raw[:, 0]
-    row[0] = cur
-    for l in range(1, p + 1):
-        cur = (qw + cur).max(axis=1)
-        row[l] = np.maximum(row[l - 1], cur)
-    out[:, 0] = row[p]
-    for k in range(1, p + 1):
-        row[0] = (pw + row[0]).max(axis=1)
-        for l in range(1, p - k + 1):
-            row[l] = np.maximum((pw + row[l]).max(axis=1), (qw + row[l - 1]).max(axis=1))
-        out[:, k] = row[p - k]
-    return out
+        forms = {
+            k: naive_form_term(lhs, p_mat, q_mat, rhs, k, p - k) for k in range(p + 1)
+        }
+        for got, offset in zip(families, (0, 1)):
+            ref = rooted(forms, offset)
+            assert (got.is_zero and ref.is_zero) or got.isclose(ref)
 
 
 @st.composite
 def form_cases(draw):
-    """(P, Q, rhs, p): order 1..8, p up to 2d + 1, with holes, thirds and shifts.
+    """(P, Q, rhs, forms, p): order 1..8, p up to 2d + 1, with holes, thirds
+    and shifts, and one to three (lhs, offset) families.
 
-    One draw in four has an all-zero Q, which ``form_columns`` runs as a chain.
+    One draw in four has an all-zero Q, which ``form_families`` runs as a chain.
     """
     d = draw(st.integers(1, 8))
     p = draw(st.integers(1, 2 * d + 1))
@@ -187,18 +175,27 @@ def form_cases(draw):
         return TropMatrix(vals.reshape(rows, cols))
 
     q_mat = TropMatrix.zeros(d, d) if draw(st.integers(0, 3)) == 0 else arr(d, d, True)
-    return arr(d, d, True), q_mat, arr(d, 1, draw(st.booleans())), p
+    count = draw(st.integers(1, 3))
+    forms = tuple((arr(1, d, True), draw(st.integers(0, 1))) for _ in range(count))
+    return arr(d, d, True), q_mat, arr(d, 1, draw(st.booleans())), forms, p
 
 
 @settings(max_examples=300, deadline=None)
-@given(form_cases())
-def test_form_columns_match_triangle_loop(case):
+@given(form_cases(), st.booleans())
+def test_form_families_match_triangle_loop(case, pruned):
     # Filling by anti-diagonal products changes only the order in which the
-    # cells are evaluated, so every entry must equal the cell loop's bit for bit.
-    p_mat, q_mat, rhs, p = case
-    got = form_columns(p_mat, q_mat, rhs, p)
-    assert got.shape == (p_mat.rows, p + 1)
-    assert np.array_equal(got.raw, triangle_form_columns(p_mat, q_mat, rhs, p))
+    # cells are evaluated, and pruning only drops walks below a family, so
+    # every family must equal the cell loop's rooted forms bit for bit, with
+    # the fill pruned from p = 1 on or not at all.
+    p_mat, q_mat, rhs, forms, p = case
+    cutoff = 1 if pruned else p + 1
+    with mock.patch.object(binomial, "_PRUNED_FILL_FROM", cutoff):
+        got = form_families(p_mat, q_mat, rhs, forms, p)
+    ref = [
+        rooted(triangle_form_terms(lhs, p_mat, q_mat, rhs, p), offset)
+        for lhs, offset in forms
+    ]
+    assert [v.raw for v in got] == [v.raw for v in ref]
 
 
 def test_degree_separation_reconstructs_trace_sum(rng):
@@ -231,9 +228,14 @@ def test_dimension_errors():
         build_table(TropMatrix([[1, 2]]), TropMatrix([[1]]), 2)
     with pytest.raises(DimensionMismatch):
         binomial_power_sum(TropMatrix([[1]]), TropMatrix.identity(2), 2)
+    one, zero = TropMatrix([[1]]), TropMatrix([[0]])
+    with pytest.raises(DimensionMismatch, match="1x1 lhs"):
+        form_families(one, one, zero, ((TropMatrix([[0, 0]]), 0),), 1)
+    with pytest.raises(DimensionMismatch, match="1x1 rhs"):
+        form_families(one, one, TropMatrix.column([0, 0]), ((zero, 0),), 1)
     with pytest.raises(DimensionMismatch):
-        weighted_form_terms(
-            TropMatrix([[0, 0]]), TropMatrix([[1]]), TropMatrix([[1]]), TropMatrix([[0]]), 1
-        )
+        form_families(one, TropMatrix.identity(2), zero, ((zero, 0),), 1)
     with pytest.raises(ValueError):
         build_table(TropMatrix([[1]]), TropMatrix([[1]]), 0)
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        form_families(one, one, zero, ((zero, 0),), 0)

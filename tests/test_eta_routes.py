@@ -2,10 +2,11 @@
 
 ``eta_term_families`` takes the cycle family as the maximum cycle mean of
 Q* P and the three form families from vector tables.  The reference here
-rebuilds all four from ``weighted_trace_terms`` and ``weighted_form_terms``
-as the closed form did before: the cycle family as the join of the k-th
-roots of tr T[k, p-k], each form family as the join of rooted per-degree
-forms.
+rebuilds all four from per-degree terms as the closed form did before: the
+cycle family as the join of the k-th roots of tr T[k, p-k]
+(``weighted_trace_terms``), each form family as the join of rooted
+per-degree forms read off the cell-by-cell vector triangle
+(``conftest.triangle_form_columns``).
 
 Agreement required:
 
@@ -37,10 +38,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import rooted, triangle_form_terms
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
-from tropsched.binomial import build_table, weighted_form_terms, weighted_trace_terms
+from tropsched.binomial import build_table, weighted_trace_terms
 from tropsched.errors import InvalidInstance, StarDiverges
 from tropsched.instances import random_instance, random_scale_instance, worked_example
 from tropsched.linalg import (
@@ -60,18 +62,10 @@ from tropsched.scheduler import (
     eta_term_families,
     mu_term_families,
 )
-from tropsched.semiring import TropValue, t_join, t_pow
+from tropsched.semiring import TropValue
 
 NEG_INF = float("-inf")
 FORM_FAMILIES = ("worker_release", "task_deadline", "lateness_chain")
-
-
-def _rooted(terms: dict[int, TropValue], offset: int) -> TropValue:
-    return t_join(
-        t_pow(v, 1.0 / (k + offset))
-        for k, v in terms.items()
-        if k + offset >= 1 and not v.is_zero
-    )
 
 
 def cell_form_terms(lhs, p_mat, q_mat, rhs, p) -> dict[int, TropValue]:
@@ -83,7 +77,7 @@ def cell_form_terms(lhs, p_mat, q_mat, rhs, p) -> dict[int, TropValue]:
     }
 
 
-def table_route(dm, inst, form_terms=weighted_form_terms) -> dict[str, TropValue]:
+def table_route(dm, inst, form_terms=triangle_form_terms) -> dict[str, TropValue]:
     """The four families from the per-degree binomial table terms."""
     k_max = min(inst.m, inst.n)
     hc, rc = conjugate(inst.h), conjugate(inst.r)
@@ -92,14 +86,14 @@ def table_route(dm, inst, form_terms=weighted_form_terms) -> dict[str, TropValue
     lhs_q = mat_add(mat_mul(hc, dm.D1conj), rc)
     lhs_a = mat_mul(rc, inst.A)
     return {
-        "cycle_traces": _rooted(weighted_trace_terms(*pair, k_max), 0),
-        "worker_release": _rooted(
+        "cycle_traces": rooted(weighted_trace_terms(*pair, k_max), 0),
+        "worker_release": rooted(
             form_terms(lhs_g, dm.R, dm.S, inst.g, k_max), 0
         ),
-        "task_deadline": _rooted(
+        "task_deadline": rooted(
             form_terms(lhs_q, dm.P, dm.Q, inst.q, k_max), 0
         ),
-        "lateness_chain": _rooted(
+        "lateness_chain": rooted(
             form_terms(lhs_a, dm.R, dm.S, inst.g, k_max), 1
         ),
     }
@@ -139,9 +133,9 @@ def chain_mu_families(inst: ProblemInstance) -> dict[str, TropValue]:
     (deadline,) = chain(mat_add(mat_mul(hc, dconj), rc), c, dconj, inst.q)
     return {
         "cycle_mean": spectral_radius(core),
-        "release_chain": _rooted(release, 0),
-        "deadline_chain": _rooted(deadline, 0),
-        "finish_chain": _rooted(finish, 1),
+        "release_chain": rooted(release, 0),
+        "deadline_chain": rooted(deadline, 0),
+        "finish_chain": rooted(finish, 1),
     }
 
 

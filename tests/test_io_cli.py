@@ -61,6 +61,21 @@ def test_parse_diagnostics():
         ParseError, match=r"^field 'q', index 0: entry must be a number or null, got '5'$"
     ):
         instance_from_dict(bad)
+    # json reads 1e400 as inf and -1e400 as -inf, which must not pass as the
+    # zero element; an int past the float range does not convert at all.
+    for field, value, where in (
+        ("A", [[float("inf")]], "field 'A', row 0, column 0"),
+        ("D", [[-(10**400)]], "field 'D', row 0, column 0"),
+        ("g", [float("-inf")], "field 'g', index 0"),
+        ("h", [10**400], "field 'h', index 0"),
+        ("C", [[float("nan")]], "field 'C', row 0, column 0"),
+    ):
+        with pytest.raises(ParseError, match=rf"^{where}: entry is not a finite float$"):
+            instance_from_dict(dict(doc, **{field: value}))
+    with pytest.raises(
+        ParseError, match=r"^field 'A', row 0, column 2: entry is not a finite float$"
+    ):
+        instance_from_dict(dict(doc, n=3, A=[[None, 1, float("-inf")]]))
     for key in ("m", "n"):
         # bool is an int subclass; a size of true must not pass as 1.
         with pytest.raises(ParseError, match=rf"^field '{key}': expected a positive integer$"):
@@ -237,6 +252,31 @@ def test_cli_solve_exit_codes(tmp_path, capsys):
     bad.write_text(json.dumps(dict(instance_to_dict(worked_example()), m=True)))
     assert run_cli(["solve", str(bad)]) == 3
     assert capsys.readouterr().err == "invalid input: field 'm': expected a positive integer\n"
+
+    # Numbers past the float range: json reads 1e400 as inf and -1e400 as
+    # -inf (the zero element's encoding), and keeps a 400-digit int exact.
+    text = json.dumps(instance_to_dict(worked_example()))
+    for field, literal, where in (
+        ("A", "1e400", "field 'A', row 0, column 0"),
+        ("g", "-1e400", "field 'g', index 0"),
+        ("h", "9" * 400, "field 'h', index 0"),
+    ):
+        doc = json.loads(text)
+        doc[field] = [[0.5]] if field == "A" else [0.5]
+        bad.write_text(json.dumps(doc).replace("0.5", literal))
+        assert run_cli(["solve", str(bad)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid input: {where}: entry is not a finite float\n"
+
+    # Past json's own limits: an int of more than 4300 digits, and bytes
+    # that are not UTF-8 text.
+    bad.write_text(text.replace("[4.0]", "[" + "9" * 5000 + "]", 1))
+    assert run_cli(["solve", str(bad)]) == 3
+    assert "Exceeds the limit (4300 digits)" in capsys.readouterr().err
+    bad.write_bytes(b"\xff" + text.encode())
+    assert run_cli(["solve", str(bad)]) == 3
+    assert "can't decode byte 0xff" in capsys.readouterr().err
 
 
 def test_cli_usage_errors(capsys):

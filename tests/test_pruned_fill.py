@@ -1,12 +1,12 @@
-"""The bound-pruned stage-two form fill against the full one.
+"""The bound-pruned form fill against the full one.
 
-``binomial.pruned_form_families`` leaves out of each anti-diagonal product
-the rows of the (k, l) triangle through which no walk can come within its
-rounding band of a family's value.  Its families must equal, bit for bit,
-the full fill's, ``form_families`` (``rooted_join`` of the forms read off
-``form_columns``): on holes, non-dyadic thirds, 1e9 shifts, zero-weight
-Q-cycles, and families with no finite pure-P walk, which bound nothing.  The scheduler takes the pruned
-fill only for a coupled stage whose order is at least its cutoff.
+From its cutoff order on, ``binomial.form_families`` leaves out of each
+anti-diagonal product the rows of the (k, l) triangle through which no walk
+can come within its rounding band of a family's value.  Its families must
+equal, bit for bit, those of the full fill, the same routine with the
+cutoff moved above p: on holes, non-dyadic thirds, 1e9 shifts, zero-weight
+Q-cycles, and families with no finite pure-P walk, which bound nothing.
+With Q all zero (stage one) the routine makes no anti-diagonal product.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ import pytest
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from tropsched import binomial, scheduler
-from tropsched.binomial import form_families, pruned_form_families
+from tropsched import binomial
+from tropsched.binomial import form_families
 from tropsched.instances import random_scale_instance
 from tropsched.linalg import TropMatrix
-from tropsched.scheduler import eta_term_families, solve
+from tropsched.scheduler import eta_term_families, solve, solve_stage1
 from tropsched.semiring import TropValue
 
 NEG_INF = float("-inf")
@@ -35,8 +35,15 @@ def pure_p_values(p_mat, rhs, forms, p) -> list[TropValue]:
     return form_families(p_mat, zero, rhs, forms, p)
 
 
+def fill(p_mat, q_mat, rhs, forms, p, pruned: bool) -> list[TropValue]:
+    """``form_families`` pruned from p = 1 on, or not pruned at all."""
+    cutoff = 1 if pruned else p + 1
+    with mock.patch.object(binomial, "_PRUNED_FILL_FROM", cutoff):
+        return form_families(p_mat, q_mat, rhs, forms, p)
+
+
 @contextlib.contextmanager
-def counting_fill_rows(d: int):
+def counting_fill_rows():
     """Rows of every anti-diagonal product, the mat_mul of d-column rows
     against the d x 2d operand [P; Q]^T.  The closing lhs . columns product
     has that shape only when p + 1 == 2d."""
@@ -44,7 +51,7 @@ def counting_fill_rows(d: int):
     real = binomial.mat_mul
 
     def counting(a, b):
-        if a.cols == d and b.shape == (d, 2 * d):
+        if a.cols == b.rows and b.cols == 2 * b.rows:
             rows.append(a.rows)
         return real(a, b)
 
@@ -122,9 +129,9 @@ def test_pruned_families_match_full_fill(case):
     label, p_mat, q_mat, rhs, forms, p = case
     lows = pure_p_values(p_mat, rhs, forms, p)
     event(label)
-    with counting_fill_rows(p_mat.rows) as rows:
-        got = pruned_form_families(p_mat, q_mat, rhs, forms, p)
-    assert got == form_families(p_mat, q_mat, rhs, forms, p)
+    with counting_fill_rows() as rows:
+        got = fill(p_mat, q_mat, rhs, forms, p, pruned=True)
+    assert got == fill(p_mat, q_mat, rhs, forms, p, pruned=False)
     if any(v.is_zero for v in lows):
         event("a family bounds nothing")
     elif sum(rows) < p * (p + 1) // 2:
@@ -148,9 +155,9 @@ def test_family_without_pure_p_walk_stops_pruning():
             TropValue(5.5),
         ]
         for forms in ((first,), (second,), (first, second), (second, first)):
-            with counting_fill_rows(2) as rows:
-                got = pruned_form_families(p_mat, q_mat, rhs, forms, p)
-            assert got == form_families(p_mat, q_mat, rhs, forms, p)
+            with counting_fill_rows() as rows:
+                got = fill(p_mat, q_mat, rhs, forms, p, pruned=True)
+            assert got == fill(p_mat, q_mat, rhs, forms, p, pruned=False)
             if first in forms:  # no bound: every row is multiplied
                 assert sum(rows) == p * (p + 1) // 2
             else:
@@ -163,11 +170,11 @@ def test_pruned_fill_multiplies_few_rows(monkeypatch):
     p = 60
     inst = random_scale_instance(np.random.default_rng(0), p, p)
     dm = solve(inst).stage2.derived
-    with counting_fill_rows(p) as rows:
+    with counting_fill_rows() as rows:
         pruned = eta_term_families(dm, inst)
     kept = sum(rows)
-    monkeypatch.setattr(scheduler, "_PRUNED_FILL_FROM", p + 1)
-    with counting_fill_rows(p) as rows:
+    monkeypatch.setattr(binomial, "_PRUNED_FILL_FROM", p + 1)
+    with counting_fill_rows() as rows:
         full = eta_term_families(dm, inst)
     triangle = p * (p + 1) // 2
     assert sum(rows) == 2 * triangle  # the full fill multiplies every row
@@ -177,20 +184,29 @@ def test_pruned_fill_multiplies_few_rows(monkeypatch):
 
 @pytest.mark.parametrize("step", [-1, 0])
 def test_pruned_fill_from_the_cutoff(monkeypatch, step):
-    # Stage two takes the pruned fill for both its tables from the cutoff
-    # on; below it, and in stage one at any order, the full fill.
-    calls = []
-    real = scheduler.pruned_form_families
-
-    def counting(*args):
-        calls.append(args[-1])
-        return real(*args)
-
-    monkeypatch.setattr(scheduler, "pruned_form_families", counting)
-    p = scheduler._PRUNED_FILL_FROM + step
+    # Below the cutoff both stage-two tables multiply every row of every
+    # anti-diagonal; from it on, fewer, with the same families.
+    p = binomial._PRUNED_FILL_FROM + step
     inst = random_scale_instance(np.random.default_rng(p), p + 3, p)
     report = solve(inst)
     assert report.status == "optimal"
-    assert calls == ([] if step < 0 else [p, p])
-    monkeypatch.setattr(scheduler, "_PRUNED_FILL_FROM", p + 1)
-    assert eta_term_families(report.stage2.derived, inst) == report.stage2_terms
+    with counting_fill_rows() as rows:
+        terms = eta_term_families(report.stage2.derived, inst)
+    assert terms == report.stage2_terms
+    if step < 0:
+        assert rows == 2 * list(range(1, p + 1))
+    else:
+        assert len(rows) == 2 * p
+        assert sum(rows) < p * (p + 1)
+    monkeypatch.setattr(binomial, "_PRUNED_FILL_FROM", p + 1)
+    assert eta_term_families(report.stage2.derived, inst) == terms
+
+
+def test_stage_one_fills_no_anti_diagonal():
+    # Stage one's coupling blocks Q and S are all zero, so both its tables
+    # are plain chains of powers, at any order: no anti-diagonal product.
+    inst = random_scale_instance(np.random.default_rng(0), 31, 30)
+    with counting_fill_rows() as rows:
+        report = solve_stage1(inst)
+    assert report.stage1.feasible and not report.stage1.mu.is_zero
+    assert rows == []
