@@ -2,8 +2,9 @@
 
 Instances and reports are JSON documents.  A matrix entry is a number or
 ``null``; null encodes the zero element (an absent lag / no constraint)
-and survives a round trip unambiguously.  NaN, infinities and numbers
-beyond the float range are rejected on input.  Reports are emitted with
+and survives a round trip unambiguously.  NaN, infinities, numbers
+beyond the float range and finite entries of magnitude above 1e300 are
+rejected on input (see _ENTRY_BOUND).  Reports are emitted with
 sorted keys and repr-exact floats, so identical inputs (and seeds) produce
 byte-identical files.
 
@@ -83,26 +84,42 @@ def _check_entries(values: list, where) -> None:
                 raise ParseError(f"{where(j)}: entry must be a number or null, got {x!r}")
 
 
+# Largest accepted magnitude of a finite entry.  The solver and the oracle
+# only ever add up a few entries at a time: a star path or a table walk
+# sums O(m + n) lags, a cycle mean or root divides such a sum, and the
+# oracle's score adds 100 times a violation of a few entries.  With every
+# entry within 1e300 a sum stays finite for about 1e8 terms (the float
+# limit is 1.8e308); two entries near that limit already overflow.
+_ENTRY_BOUND = 1e300
+
+
 def _entry_array(rows: list[list], where) -> np.ndarray:
     # Checked rows as a float array with -inf for null; where(i, j) names
     # entry (i, j).  NumPy reads null as NaN.  json reads a literal beyond
     # the float range as an infinity, or as an int too large to convert, so
-    # unless every entry but the nulls is finite, the entries are walked one
-    # by one and the first that is not a finite float is rejected by name.
+    # unless every entry but the nulls is a float within _ENTRY_BOUND, the
+    # entries are walked one by one and the first that is not is rejected
+    # by name.
     try:
         data = np.array(rows, dtype=np.float64)
     except OverflowError:
         data = None
     nulls = sum(row.count(None) for row in rows)
-    if data is None or np.count_nonzero(np.isfinite(data)) + nulls != data.size:
+    if data is None or np.count_nonzero(np.abs(data) <= _ENTRY_BOUND) + nulls != data.size:
         for i, row in enumerate(rows):
             for j, x in enumerate(row):
+                if x is None:
+                    continue
                 try:
-                    bad = x is not None and not math.isfinite(x)
+                    value = float(x)
                 except OverflowError:
-                    bad = True
-                if bad:
+                    value = math.inf
+                if not math.isfinite(value):
                     raise ParseError(f"{where(i, j)}: entry is not a finite float")
+                if abs(value) > _ENTRY_BOUND:
+                    raise ParseError(
+                        f"{where(i, j)}: entry exceeds {_ENTRY_BOUND:g} in magnitude"
+                    )
     data[np.isnan(data)] = _NEG_INF
     return data
 

@@ -18,10 +18,22 @@ therefore only has to cover start times.  Constraints that do not reduce
 to per-coordinate bounds are scored as an exact penalty, and the search
 certifies afterwards that the returned point actually satisfies them; see
 the grid-search constants below.
+
+The grid is evaluated in column layout: a block of N start vectors is an
+(n, N) array, and every max-plus sum broadcasts the lags, stored as
+(n, rows, 1), against it and reduces over axis 0.  n is small (the oracle
+is for tiny instances) and N is the long axis, so each reduction runs
+over whole contiguous rows of N points, and a block costs a fixed handful
+of NumPy calls however many points it holds.  The due-date caps of D
+and B are merged into one matrix, which is exact because rounding is
+monotone (see _StageEvaluator).  Blocks hold at most _GRID_CHUNK points,
+and the search does not depend on where they are cut: points come in one
+fixed order and an incumbent is only replaced by a strictly better score.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -30,8 +42,6 @@ from .errors import DimensionMismatch, GridTooLarge, StarDiverges
 from .linalg import TropMatrix, mat_add, mat_mul, mat_pow, trace, trace_function
 from .scheduler import ProblemInstance
 from .semiring import TropValue
-
-_NEG_INF = float("-inf")
 
 _FEAS_SLACK = 1e-9
 _COMPOSITION_CAP = 6
@@ -128,8 +138,10 @@ _MAX_EVALUATIONS = 1e8
 # success when it is negligible, so a too-small penalty or an empty region
 # shows up as `found = False`, never as a wrong value.
 _PENALTY = 100.0
-# Grid points evaluated per batch.
-_GRID_CHUNK = 200_000
+# Grid points per block.  A block's largest temporary holds n * 2m * 4096
+# floats (1 MiB at 4 x 4), and a refinement window (at most 5 points per
+# axis) fits in one block up to n = 5.
+_GRID_CHUNK = 4096
 
 
 class GridSearchResult(NamedTuple):
@@ -161,47 +173,59 @@ def _grid_exceeds(lo: np.ndarray, hi: np.ndarray, step: float, limit: float) -> 
     return False
 
 
-def _iter_grid(lo: np.ndarray, hi: np.ndarray, step: float):
+def _iter_grid(lo: np.ndarray, hi: np.ndarray, step: float) -> Iterator[np.ndarray]:
+    """The grid on the box [lo, hi] as (dims, N) blocks of column points.
+
+    Points come in C order (the last axis varies fastest) and blocks hold
+    at most _GRID_CHUNK of them.  A grid that fits in one block is built
+    by broadcasting the axes; a larger one is cut into consecutive runs of
+    flat indices.
+    """
     axes = [_axis_points(float(a), float(b), step) for a, b in zip(lo, hi)]
-    dims = len(axes)
-    total = int(np.prod([len(ax) for ax in axes]))
+    shape = tuple(len(ax) for ax in axes)
+    dims, total = len(axes), math.prod(shape)
+    if total <= _GRID_CHUNK:
+        block = np.empty((dims, *shape))
+        for d, points in enumerate(axes):
+            block[d] = points.reshape((-1,) + (1,) * (dims - d - 1))
+        yield block.reshape(dims, total)
+        return
     for start in range(0, total, _GRID_CHUNK):
-        stop = min(total, start + _GRID_CHUNK)
-        idx = np.unravel_index(np.arange(start, stop), [len(ax) for ax in axes])
-        block = np.empty((stop - start, dims))
-        for d in range(dims):
-            block[:, d] = axes[d][idx[d]]
-        yield block
+        idx = np.unravel_index(np.arange(start, min(total, start + _GRID_CHUNK)), shape)
+        yield np.stack([ax[i] for ax, i in zip(axes, idx)])
 
 
 class _StageEvaluator:
-    """Vectorised objective/feasibility for batches of start-time vectors."""
+    """Vectorised objective/feasibility for blocks of start-time columns.
+
+    Lags are stored as (n, rows, 1) so that a (n, N) block of start points
+    broadcasts to (n, rows, N) and the max-plus sums reduce over axis 0,
+    the short worker axis, with the long point axis contiguous; what is
+    left are row operations on (rows, N).  The due-date caps from D and
+    (in stage two) B are merged into one matrix min(D, B), +inf for absent
+    lags.  That is exact: rounding is monotone, so
+    min(fl(a + s), fl(b + s)) == fl(min(a, b) + s).  The objective lags and
+    the coupled lags C - mu of stage two share one stacked block.
+    """
 
     def __init__(self, inst: ProblemInstance, mu: float | None):
-        self.obj_lags = inst.A.raw if mu is not None else inst.C.raw
-        self.m, self.n = inst.m, inst.n
+        self.m = inst.m
         self.q = inst.q.raw[:, 0]
         self.r = inst.r.raw[:, 0]
-        self.g = inst.g.raw[:, 0]
         self.h = inst.h.raw[:, 0]
-        # Upper bounds on due dates: +inf marks absent lags so they drop
-        # out of the minimum.
-        caps = [np.where(np.isfinite(inst.D.raw), inst.D.raw, np.inf)]
-        lower_sources = [inst.D.raw]
-        if mu is not None:
-            caps.append(np.where(np.isfinite(inst.B.raw), inst.B.raw, np.inf))
-            lower_sources.append(inst.B.raw)
-            self.coupled = inst.C.raw - mu  # -inf entries stay -inf
+        caps = np.where(np.isfinite(inst.D.raw), inst.D.raw, np.inf)
+        if mu is None:
+            lags = inst.C.raw
         else:
-            self.coupled = None
-        self.caps = caps
+            caps = np.minimum(caps, np.where(np.isfinite(inst.B.raw), inst.B.raw, np.inf))
+            # Objective lags A, then the coupled lags (-inf entries stay -inf).
+            lags = np.vstack([inst.A.raw, inst.C.raw - mu])
+        self.caps = caps.T[:, :, None]
+        self.lags = lags.T[:, :, None]
         # Necessary per-coordinate lower bounds on start times: every
-        # finite lag must leave room for the earliest finish time q.
-        lo = self.g.copy()
-        for src in lower_sources:
-            contrib = np.where(np.isfinite(src), self.q[:, None] - src, _NEG_INF)
-            lo = np.maximum(lo, contrib.max(axis=0))
-        self.start_lower = lo
+        # finite lag must leave room for the earliest finish time q (an
+        # absent lag's +inf cap contributes -inf).
+        self.start_lower = np.maximum(inst.g.raw[:, 0], (self.q[:, None] - caps).max(axis=0))
 
     def box(self) -> tuple[np.ndarray, np.ndarray]:
         return self.start_lower, self.h
@@ -211,32 +235,27 @@ class _StageEvaluator:
             return False
         return bool((self.start_lower <= self.h + _FEAS_SLACK).all())
 
+    def _due_caps(self, starts: np.ndarray) -> np.ndarray:
+        # The largest admissible due dates (m x N) for start columns (n x N).
+        return np.minimum((self.caps + starts[:, None, :]).min(axis=0), self.r[:, None])
+
     def evaluate(self, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(objective, violation) for a batch of start vectors (N x n).
+        """(objective, violation) for a block of start columns (n x N).
 
         The violation is how far the due-date lower bounds exceed their
         caps; zero means the point is feasible.
         """
-        due_cap = np.broadcast_to(self.r, (starts.shape[0], self.m)).copy()
-        for cap in self.caps:
-            due_cap = np.minimum(
-                due_cap, (cap[None, :, :] + starts[:, None, :]).min(axis=2)
-            )
-        due_low = np.broadcast_to(self.q, due_cap.shape).copy()
-        if self.coupled is not None:
-            due_low = np.maximum(
-                due_low, (self.coupled[None, :, :] + starts[:, None, :]).max(axis=2)
-            )
-        violation = np.maximum(due_low - due_cap, 0.0).max(axis=1)
-        finish = (self.obj_lags[None, :, :] + starts[:, None, :]).max(axis=2)
-        objective = (finish - due_cap).max(axis=1)
+        due_cap = self._due_caps(starts)
+        lagged = (self.lags + starts[:, None, :]).max(axis=0)
+        due_low = self.q[:, None]
+        if len(lagged) > self.m:
+            due_low = np.maximum(due_low, lagged[self.m :])
+        violation = np.maximum(due_low - due_cap, 0.0).max(axis=0)
+        objective = (lagged[: self.m] - due_cap).max(axis=0)
         return objective, violation
 
     def due_dates(self, start: np.ndarray) -> np.ndarray:
-        due = self.r.copy()
-        for cap in self.caps:
-            due = np.minimum(due, (cap + start[None, :]).min(axis=1))
-        return due
+        return self._due_caps(start[:, None])[:, 0]
 
 
 def _refined_search(
@@ -261,12 +280,12 @@ def _refined_search(
             i = int(score.argmin())
             if score[i] < best_score:
                 best_score = float(score[i])
-                best_pt = block[i].copy()
+                best_pt = block[:, i].copy()
         history.append(best_score)
         win_lo = np.maximum(lo, best_pt - 2.0 * step)
         win_hi = np.minimum(hi, best_pt + 2.0 * step)
         step /= 2.0
-    objective, violation = ev.evaluate(best_pt[None, :])
+    objective, violation = ev.evaluate(best_pt[:, None])
     if float(violation[0]) > max(1e-6, 8.0 * step):
         # The penalised search could not reach the constrained region: it
         # is empty (or the penalty weight is too small for this instance).

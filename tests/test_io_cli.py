@@ -279,6 +279,35 @@ def test_cli_solve_exit_codes(tmp_path, capsys):
     assert "can't decode byte 0xff" in capsys.readouterr().err
 
 
+def test_entries_beyond_bound_are_rejected(tmp_path, capsys):
+    # Finite entries near the float limit overflowed inside the solver:
+    # A = [[1e308]] crashed `solve` with an inf payload, and C = [[-1e308]]
+    # overflowed a max-plus sum.  Magnitudes above 1e300 are invalid input;
+    # 1e300 itself parses and solves.
+    doc = instance_to_dict(worked_example())
+    path = tmp_path / "instance.json"
+    above = float(np.nextafter(1e300, np.inf))
+    for field, value, where in (
+        ("A", [[1e308]], "field 'A', row 0, column 0"),
+        ("C", [[-1e308]], "field 'C', row 0, column 0"),
+        ("D", [[-above]], "field 'D', row 0, column 0"),
+        ("q", [-(10**301)], "field 'q', index 0"),
+    ):
+        path.write_text(json.dumps(dict(doc, **{field: value})))
+        for command in ("solve", "verify"):
+            assert run_cli([command, str(path)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"invalid input: {where}: entry exceeds 1e+300 in magnitude\n"
+    for field, value in (("A", [[1e300]]), ("C", [[-1e300]]), ("g", [-(10**300)])):
+        path.write_text(json.dumps(dict(doc, **{field: value})))
+        inst = parse_instance(str(path))
+        assert abs(getattr(inst, field).raw[0, 0]) == 1e300
+        for command in ("solve", "verify"):
+            assert run_cli([command, str(path)]) == 0
+    capsys.readouterr()
+
+
 def test_cli_usage_errors(capsys):
     # Exit code 2 means infeasible, so usage errors must not use argparse's 2.
     for argv in (
@@ -514,9 +543,9 @@ def test_cli_reports_match_stdlib_writer(tmp_path, capsys):
             write_instance(data, str(src))
             text = src.read_text()
             assert text == json.dumps(instance_to_dict(data), sort_keys=True, indent=1) + "\n"
-            commands = [["solve"], ["stage1"], ["sample", "--count", "3"]]
-            if data.m * data.n <= 9:  # the grid oracle is sized for small instances
-                commands.append(["verify"])
+            # verify on the wide random_scale_instance shapes writes its
+            # report with oracle_run false (GridTooLarge).
+            commands = [["solve"], ["stage1"], ["sample", "--count", "3"], ["verify"]]
             for command in commands:
                 out.unlink(missing_ok=True)
                 code = run_cli([command[0], str(src), "--output", str(out), *command[1:]])

@@ -1,11 +1,14 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
-from conftest import assert_close, rand_mat
+from conftest import FIXTURES, NEG_INF, assert_close, rand_mat, rand_raw
 
 import tropsched as ts
 from tropsched.errors import GridTooLarge, StarDiverges
-from tropsched.instances import worked_example
+from tropsched.instances import random_feasible_instance, random_instance, worked_example
+from tropsched.io_cli import parse_instance
 from tropsched.linalg import TropMatrix, mat_add, mat_mul
 from tropsched.oracle import (
     compositions_upto,
@@ -136,3 +139,140 @@ def test_grid_size_check_matches_exact_count(rng):
                 assert _grid_exceeds(lo, hi, step, float(limit)) == (exact > limit)
         lo[0] = float("-inf")
         assert _grid_exceeds(lo, hi, step, 1e8)
+
+
+# -- the grid evaluator against a definitional reference -----------------------
+
+
+def _shifted(inst, scale, shift):
+    # Lags divided by scale; times (g, h, q, r) divided and then shifted.
+    lags = {name: TropMatrix(getattr(inst, name).raw / scale) for name in "ABCD"}
+    times = {name: TropMatrix(getattr(inst, name).raw / scale + shift) for name in "ghqr"}
+    return ts.ProblemInstance(m=inst.m, n=inst.n, **lags, **times)
+
+
+def _holey_instance(rng, m, n):
+    # Integer lags with many holes (-inf lags, so +inf due-date caps) and
+    # some unbounded release times and earliest finish times.
+    mats = {name: rand_raw(rng, m, n, density=0.6) for name in "ABCD"}
+    for name in "AC":
+        if not np.isfinite(mats[name]).any():
+            mats[name][rng.integers(m), rng.integers(n)] = float(rng.integers(-5, 6))
+    g = np.where(rng.random(n) < 0.2, NEG_INF, rng.integers(-3, 3, n).astype(float))
+    q = np.where(rng.random(m) < 0.2, NEG_INF, rng.integers(-3, 3, m).astype(float))
+    return ts.ProblemInstance(
+        m=m,
+        n=n,
+        **{name: TropMatrix(raw) for name, raw in mats.items()},
+        g=TropMatrix.column(g),
+        h=TropMatrix.column(np.maximum(g, 0.0) + rng.integers(0, 6, n)),
+        q=TropMatrix.column(q),
+        r=TropMatrix.column(np.maximum(q, 0.0) + rng.integers(0, 6, m)),
+    )
+
+
+def _reference_point(inst, mu, start):
+    """Objective, violation and due dates at one start vector, entry by entry."""
+    objective, violation, due = NEG_INF, 0.0, []
+    obj_lags = inst.C.raw if mu is None else inst.A.raw
+    caps = [inst.D.raw] if mu is None else [inst.D.raw, inst.B.raw]
+    for i in range(inst.m):
+        cap, low, finish = inst.r.raw[i, 0], inst.q.raw[i, 0], NEG_INF
+        for j in range(inst.n):
+            for lags in caps:
+                if math.isfinite(lags[i, j]):
+                    cap = min(cap, lags[i, j] + start[j])
+            if mu is not None and math.isfinite(inst.C.raw[i, j]):
+                low = max(low, (inst.C.raw[i, j] - mu) + start[j])
+            if math.isfinite(obj_lags[i, j]):
+                finish = max(finish, obj_lags[i, j] + start[j])
+        objective = max(objective, finish - cap)
+        violation = max(violation, low - cap)
+        due.append(cap)
+    return objective, violation, due
+
+
+def _reference_start_lower(inst, mu):
+    caps = [inst.D.raw] if mu is None else [inst.D.raw, inst.B.raw]
+    lower = []
+    for j in range(inst.n):
+        lo = inst.g.raw[j, 0]
+        for lags in caps:
+            for i in range(inst.m):
+                if math.isfinite(lags[i, j]):
+                    lo = max(lo, inst.q.raw[i, 0] - lags[i, j])
+        lower.append(lo)
+    return lower
+
+
+def _hex(values):
+    return [float(x).hex() for x in values]
+
+
+def test_evaluator_matches_reference_loop(rng):
+    from tropsched.oracle import _StageEvaluator
+
+    shapes = [(1, 1), (1, 3), (3, 1), (2, 2), (2, 4), (4, 3)]
+    for m, n in shapes:
+        for _ in range(8):
+            base = _holey_instance(rng, m, n)
+            for scale, shift in ((1, 0.0), (3, 0.0), (3, 1e9)):
+                inst = _shifted(base, scale, shift)
+                starts = rng.integers(-12, 13, (n, 20)) / scale + shift
+                for mu in (None, float(rng.integers(-6, 7)) / scale):
+                    ev = _StageEvaluator(inst, mu)
+                    assert _hex(ev.start_lower) == _hex(_reference_start_lower(inst, mu))
+                    objective, violation = ev.evaluate(starts)
+                    for k in range(starts.shape[1]):
+                        ref_obj, ref_viol, ref_due = _reference_point(inst, mu, starts[:, k])
+                        assert _hex([objective[k], violation[k]]) == _hex([ref_obj, ref_viol])
+                        assert _hex(ev.due_dates(starts[:, k])) == _hex(ref_due)
+
+
+# -- grid blocks ---------------------------------------------------------------
+
+
+def test_grid_blocks_enumerate_in_c_order(monkeypatch):
+    from tropsched import oracle
+
+    lo, hi = np.array([0.0, -1.0, 2.0]), np.array([1.2, 1.0, 2.0])
+    axes = [oracle._axis_points(a, b, 0.5) for a, b in zip(lo, hi)]
+    expected = np.array(list(itertools.product(*axes))).T
+    for chunk in (oracle._GRID_CHUNK, 7, 1):
+        monkeypatch.setattr(oracle, "_GRID_CHUNK", chunk)
+        blocks = list(oracle._iter_grid(lo, hi, 0.5))
+        assert all(block.shape[1] <= chunk for block in blocks)
+        assert np.array_equal(np.concatenate(blocks, axis=1), expected)
+
+
+def _oracle_bits(inst):
+    # Both stages' results, floats as hex: found, best, u, v and history.
+    def bits(result):
+        vec = [None if m is None else _hex(m.raw[:, 0]) for m in (result.u, result.v)]
+        best = None if result.best is None else float(result.best.value).hex()
+        return result.found, best, *vec, _hex(result.history)
+
+    out = [bits(grid_search_stage1(inst))]
+    report = ts.solve(inst)
+    if report.stage1.feasible:
+        out.append(bits(grid_search_stage2(inst, report.stage1.mu)))
+    return out
+
+
+def test_grid_chunk_size_does_not_change_result(monkeypatch):
+    # The enumeration order and the strict-< incumbent rule pick the
+    # winner, so cutting the grid into blocks of any size gives the same
+    # search: blocks of 7 points split every grid of these instances.
+    from tropsched import oracle
+
+    insts = [parse_instance(path) for path in FIXTURES.values()]
+    rng = np.random.default_rng(1414)
+    shapes = [(1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (1, 4), (4, 4)]
+    for k, (m, n) in enumerate(shapes * 2):
+        draw = (random_feasible_instance if k % 3 else random_instance)(rng, m, n)
+        insts.append(_shifted(draw, 3, 1e9 if k % 2 else 0.0))
+    default = [_oracle_bits(inst) for inst in insts]
+    assert sum(len(bits) for bits in default) > len(insts)  # some stage twos ran
+    for chunk in (7, 10**9):
+        monkeypatch.setattr(oracle, "_GRID_CHUNK", chunk)
+        assert [_oracle_bits(inst) for inst in insts] == default
