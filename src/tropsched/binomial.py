@@ -16,13 +16,16 @@ Both stages use only the vector forms, through one routine,
 ``form_families``: it propagates the triangle on one right-hand vector by
 one max-plus product per anti-diagonal, at O(n^2 p^2), and returns the
 rooted families of per-degree bilinear forms read off the last
-anti-diagonal.  With a zero B (stage one) the table is the chain A^k rhs,
-p matrix-vector products.  From p = 30 on, the chain's families bound the
-fill, which then multiplies only the rows that can still reach a family's
-optimum, at O(n^2 p + n p^2) per family for the bounds and row tests plus
-O(n^2) per kept row, and gives the full fill's families bit for bit.  The
-matrix table (``build_table`` and the power, trace and per-degree trace
-sums built on it) is library surface and the tests' reference.
+anti-diagonal.  It always runs the pure-A chain A^k rhs first (p row
+reductions), whose families, with a zero B (stage one), are the result.
+Otherwise they bound the table: one product of the chain with B, tested
+against an upper bound on every completion, certifies when no walk with a
+B-factor can reach a family, and the chain's families are then the result
+with no anti-diagonal product; when it does not, the fill multiplies only
+the rows that can still reach a family's optimum, at any order.  Either
+way the families are the full fill's bit for bit.  The matrix table
+(``build_table`` and the power, trace and per-degree trace sums built on
+it) is library surface and the tests' reference.
 """
 
 from __future__ import annotations
@@ -115,14 +118,6 @@ def weighted_trace_terms(
     return {k: trace(table.cell(k, p - k)) for k in range(1, p + 1)}
 
 
-# Order p from which form_families prunes its fill.  Full against pruned
-# fill, ms per table on random_scale_instance stage two (seeds 0-2, 2-core
-# x86-64, NumPy 2.4): p = 20: 0.71 / 1.41, 26: 1.33 / 1.28, 30: 1.83 / 1.61,
-# 40: 5.42 / 2.25.  Break-even fell between 26 and 30 from run to run; from
-# 30 on the pruned fill won in every run.
-_PRUNED_FILL_FROM = 30
-
-
 def form_families(
     p_mat: TropMatrix,
     q_mat: TropMatrix,
@@ -144,54 +139,65 @@ def form_families(
     bit.  The last anti-diagonal, e[k, p-k] = T[k, p-k] . rhs, gives every
     per-degree form of one lhs in one product.
 
-    The pure-P chain lhs . P^k rhs, p products P e, is the table with Q all
-    zero, same sums, same max: with Q all zero (stage one) its families are
-    the result.  From p = 30 (``_PRUNED_FILL_FROM``) on, its families v bound
-    the fill instead: row k of anti-diagonal s - 1, the cell
-    e = T[k, s-1-k] . rhs, goes into the product for anti-diagonal s only
-    when, for some family (lhs, o),
-
-        max_j fl(e_j + U[p-s+1]_j) >= v k - tau.
-
-    A walk of the table attains v, since the table holds the chain with the
+    The pure-P chain lhs . P^k rhs, p row reductions P e, is the table with
+    Q all zero, same sums, same max: with Q all zero (stage one) its
+    families are the result.  Otherwise its families v are lower bounds: a
+    walk of the table attains v, since the table holds the chain with the
     same sums.  U[r] bounds every completion of at most r further arcs,
     P-arcs weighted P - v and Q-arcs Q, ending in lhs - v o:
 
         U[0] = lhs - v o,    U[r] = U[r-1] + U[r-1] max(P - v, Q)  (max-plus),
 
     and tau = 8 eps (p+2)^2 M, with M the largest of 1, |v| (p+1) and the
-    finite |P|, |Q|, |rhs| and |lhs|.  Rows left out are the zero element in
-    the next anti-diagonal.  A family with no finite pure-P walk (v the zero
-    element) bounds nothing, and then every row is kept, as below p = 30,
-    where the full fill is faster.
+    finite |P|, |Q|, |rhs| and |lhs|.  A cell e of k P-arcs and s arcs in all
+    passes the row test for a family when
 
-    Why the pruned families are the full fill's to the bit.  Each float of
-    the table is the max over its walks of the walk's float sum, added from
-    rhs on; float addition is monotone and max is exact, so a pruned cell is
-    the max over a subset of its walks, each summed as in the full fill, and
-    a pruned family is at most the full one.  Let W be a walk that attains
-    the full family, V = fl(fl(w) * fl(1/(K+o))) >= v, with K P-arcs and
-    n <= p + 2 terms of size at most M, float sum w~ and exact sum w.  With
-    u = eps/2 the unit roundoff, to first order:
+        max_j fl(e_j + U[p-s]_j) >= v k - tau.
+
+    Certificate.  Every walk with a Q-arc, cut right after its first Q-arc,
+    ends in a cell Q P^k rhs, k < p; one product of the chain's first p
+    cells with Q^T gives them all.  When each of them fails the row test
+    for every family, no walk with a Q-arc reaches its family, and the
+    chain's families are the result, with no anti-diagonal product (on
+    ``random_scale_instance`` every stage-two table is certified).
+    Otherwise the fill is pruned: row k of anti-diagonal s - 1, the cell
+    T[k, s-1-k] . rhs, goes into the product for anti-diagonal s only when
+    it passes the row test for some family, and rows left out are the zero
+    element in the next anti-diagonal.  A family with no finite pure-P walk
+    (v the zero element) bounds nothing, and then every row is kept.  The
+    pruned fill is taken at any p: with the chain and the completions paid,
+    it costs about what the full fill does on tables it does not certify.
+
+    Why the certified and the pruned families are the full fill's to the
+    bit.  Each float of the table is the max over its walks of the walk's
+    float sum, added from rhs on; float addition is monotone and max is
+    exact, so a pruned cell is the max over a subset of its walks, each
+    summed as in the full fill, and a pruned family is at most the full one.
+    Let W be a walk that attains the full family, V = fl(fl(w) * fl(1/(K+o)))
+    >= v, with K P-arcs and n <= p + 2 terms of size at most M, float sum w~
+    and exact sum w.  With u = eps/2 the unit roundoff, to first order:
 
     - |w~ - w| <= n^2 u M (recursive summation), and the two roundings of the
       root move at most 2u |w~|, so V >= v gives w - v (K+o) >= -(n^2 + 2n) u M.
     - At a cell of W, e_j is at least W's float prefix f (by induction, every
-      earlier cell of W was kept), and U[r]_j at least the float sum of W's
-      completion in the shifted weights, whose terms are at most 2M in size.
-      f is within n^2 u M and that sum within 2 n^2 u M of its exact value,
-      and the two exact values add up to w - v (K+o) + v k.
+      earlier cell of W was kept; the certificate's cell Q P^k rhs holds every
+      such prefix), and U[r]_j at least the float sum of W's completion in
+      the shifted weights, whose terms are at most 2M in size.  f is within
+      n^2 u M and that sum within 2 n^2 u M of its exact value, and the two
+      exact values add up to w - v (K+o) + v k.
     - The test's sum e_j + U_j and its v k - tau add at most (3n + 3) u M.
 
     So W's row passes with at most (4 n^2 + 5 n + 3) u M <= 6 n^2 u M
     (n >= 3) of rounding against it, against a band of tau = 16 n^2 u M that
-    also covers the second-order terms: W survives whole.  A row is dropped
-    only when no walk through it reaches v, so every dropped walk lies
-    strictly below the family and can neither win nor tie the rounded max;
-    the winning walk's sum is the full fill's own float.  The band is
-    relative to M, which is what makes this hold at any magnitude: an
-    absolute band, such as 1e-9 of the data's spread, is below one ulp of
-    1e9-shifted sums and drops the winning walk there.
+    also covers the second-order terms: W survives whole, and a walk with a
+    Q-arc that attains its family passes the test at the cell after its
+    first Q-arc.  A row is dropped, or a table certified, only when no walk
+    through it reaches v, so every dropped walk lies strictly below the
+    family and can neither win nor tie the rounded max; the winning walk's
+    sum is the full fill's own float.  The band is relative to M, which is
+    what makes this hold at any magnitude: an absolute band, such as 1e-9
+    of the data's spread, is below one ulp of 1e9-shifted sums and drops
+    the winning walk there.
     """
     d = _check_pair(p_mat, q_mat)
     if p < 1:
@@ -204,19 +210,19 @@ def form_families(
 
     def rooted(columns: np.ndarray) -> list[TropValue]:
         # The families read off a d x (p+1) array of table columns.
-        columns = TropMatrix._wrap(columns)
-        return [_rooted_join(mat_mul(lhs, columns).raw[0], o) for lhs, o in forms]
+        return [
+            _rooted_join((lhs.raw.T + columns).max(axis=0), o) for lhs, o in forms
+        ]
 
-    zero_q = q_mat.is_zero_matrix()
-    bounded = False
-    if zero_q or p >= _PRUNED_FILL_FROM:
-        chain = [rhs]
-        for _ in range(p):
-            chain.append(mat_mul(p_mat, chain[-1]))
-        lows = rooted(np.hstack([col.raw for col in chain]))
-        if zero_q:
-            return lows
-        bounded = not any(low.is_zero for low in lows)
+    # chain[k] = P^k rhs, one row reduction per power.
+    chain = np.empty((p + 1, d))
+    chain[0] = rhs.raw[:, 0]
+    for k in range(1, p + 1):
+        chain[k] = (p_mat.raw + chain[k - 1]).max(axis=1)
+    lows = rooted(chain.T)
+    if q_mat.is_zero_matrix():
+        return lows
+    bounded = not any(low.is_zero for low in lows)
     if bounded:
         # Per family i: limits[i, k] = v k - tau and completions[r, i] = U[r].
         v = np.array([low.value for low in lows])
@@ -235,6 +241,12 @@ def form_families(
         completions[0] = [lhs.raw[0] - x * o for x, (lhs, o) in zip(v, forms)]
         for r in range(1, p + 1):
             completions[r] = (completions[r - 1][:, :, None] + hops).max(axis=1)
+        # The certificate: row k of first_q is Q P^k rhs, k P-arcs and k + 1
+        # arcs in all, so its completions are U[p-1-k].
+        first_q = mat_mul(TropMatrix._wrap(chain[:p]), TropMatrix._wrap(q_mat.raw.T.copy()))
+        reach = (first_q.raw[:, None] + completions[p - 1 :: -1]).max(axis=2)
+        if (reach < limits.T).all():
+            return lows
 
     # [P; Q]^T in row-major order, so the product's inner axis is contiguous.
     pq_t = TropMatrix._wrap(np.vstack((p_mat.raw, q_mat.raw)).T.copy())
@@ -245,17 +257,14 @@ def form_families(
         if bounded:
             reach = (diag[None, :s] + completions[p - s + 1][:, None]).max(axis=2)
             rows = np.flatnonzero((reach >= limits[:, :s]).any(axis=0))
-            cells = diag[rows]
-            diag[: s + 1] = -np.inf  # rows left out are the zero element
-            below, above = rows, rows + 1
         else:
-            cells = diag[:s]
-            below, above = slice(0, s), slice(1, s + 1)
-        pq = mat_mul(TropMatrix._wrap(cells), pq_t).raw
-        diag[above] = pq[:, :d]
+            rows = np.arange(s)
+        pq = mat_mul(TropMatrix._wrap(diag[rows]), pq_t).raw
+        diag[: s + 1] = -np.inf  # rows left out are the zero element
+        diag[rows + 1] = pq[:, :d]
         diag[0] = rhs.raw[:, 0]
-        diag[below] = np.maximum(diag[below], pq[:, d:])
-    return rooted(diag.T.copy())
+        diag[rows] = np.maximum(diag[rows], pq[:, d:])
+    return rooted(diag.T)
 
 
 def _rooted_join(forms: np.ndarray, offset: int) -> TropValue:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blockstar import SkewBlock, assemble, skew_star
+from .blockstar import SkewBlock, skew_star
 from .errors import (
     DimensionMismatch,
     InternalConsistency,
@@ -83,23 +83,32 @@ def solve_double_inequality(
 
     A skew block diagonal A given as a SkewBlock gets its star blockwise.
     """
-    full = assemble(a) if isinstance(a, SkewBlock) else a
-    if full.rows != full.cols:
-        raise DimensionMismatch(f"A must be square, got {full.shape}")
-    if not b.is_vector or b.rows != full.rows:
-        raise DimensionMismatch(f"b must be a {full.rows}-vector, got {b.shape}")
+    skew = isinstance(a, SkewBlock)
+    if not skew and a.rows != a.cols:
+        raise DimensionMismatch(f"A must be square, got {a.shape}")
+    order = a.order if skew else a.rows
+    if not b.is_vector or b.rows != order:
+        raise DimensionMismatch(f"b must be a {order}-vector, got {b.shape}")
     _require_regular_vector(d, "d")
-    if d.rows != full.rows:
-        raise DimensionMismatch(f"d must be a {full.rows}-vector, got {d.shape}")
+    if d.rows != order:
+        raise DimensionMismatch(f"d must be a {order}-vector, got {d.shape}")
 
     try:
-        star = skew_star(a) if isinstance(a, SkewBlock) else kleene_star(a)
+        star = skew_star(a) if skew else kleene_star(a)
     except StarDiverges as exc:
         return BoxSolutionSet(
             generator=None, lower=b, upper=None, delta=exc.trace_value
         )
     # Tr(A) is the heaviest cycle, i.e. the largest diagonal entry of A A*.
-    tr = TropValue.from_raw(float((full.raw + star.raw.T).max()))
+    # A skew A has zero diagonal blocks, so only the off-diagonal blocks of
+    # A and of the star's transpose pair up.
+    if skew:
+        p = a.B.rows
+        star_t = star.raw.T
+        tr_raw = max((a.B.raw + star_t[:p, p:]).max(), (a.C.raw + star_t[p:, :p]).max())
+    else:
+        tr_raw = (a.raw + star.raw.T).max()
+    tr = TropValue.from_raw(float(tr_raw))
     d_conj_star = mat_mul(conjugate(d), star)  # 1 x n
     delta = t_add(tr, mat_mul(d_conj_star, b).entry(0, 0))
     if delta.raw > FEASIBILITY_TOL:

@@ -11,7 +11,8 @@ closure read off the stage condition's star (one Karp pass at order
 min(m, n)); the other three are root-scaled, degree-separated bilinear forms.
 The full solution set is a pair of star generators acting on parameters
 ranging over a box, with at most m + n + 1 extreme schedules; they are the
-images of the box corners, all computed in one batched product.
+images of the box corners, each a one-coordinate change of the lower
+corner's schedule.
 
 Both stage conditions and the solution set are one tool: the double
 inequality A z + b <= z <= d over z = (x, y), where A is skew block
@@ -343,9 +344,11 @@ def eta_term_families(
     The three form families are joins of rooted per-degree forms read off
     two vector tables of the (k, l) triangle, on (R, S, g) and on (P, Q, q),
     each one call to ``binomial.form_families`` at order min(m, n).  That
-    routine also chooses how to fill the table (whole, pruned to the rows
-    that can still reach a family, or as a plain P-chain when Q is all zero),
-    and every choice gives the same families to the bit.
+    routine also chooses how to fill the table: the plain P-chain when Q is
+    all zero or when one product certifies that no walk with a Q-arc
+    reaches a family (every table of ``random_scale_instance``), else the
+    rows that can still reach a family, or the whole triangle for a family
+    with no pure-P walk.  Every choice gives the same families to the bit.
 
     Requires a passing stage-two condition (``check_stage2_feasibility``):
     when that star diverged, StarDiverges is raised with its trace value.
@@ -441,13 +444,67 @@ def _schedules(
     y = mat_mul(
         result.y_generator, mat_add(mat_mul(_c_eta(dm, result.eta, inst), u), v)
     ).raw
-    regular = np.isfinite(x).all(axis=0) & np.isfinite(y).all(axis=0)
+    regular = _regular(x, y)
     x, y = x[:, regular], y[:, regular]
+    return x, y, _objectives(x, y, inst)
+
+
+def _regular(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # The columns whose x and y have no zero-element entry.
+    return np.isfinite(x).all(axis=0) & np.isfinite(y).all(axis=0)
+
+
+def _objectives(x: np.ndarray, y: np.ndarray, inst: ProblemInstance) -> np.ndarray:
+    # max_i (y~_i + (A x)_i) per column of regular schedules.  y is regular,
+    # so y~ is -y; adding 0.0 clears negative zeros as ``conjugate`` does.
     ax = mat_mul(inst.A, TropMatrix._wrap(x)).raw
-    # y is regular, so y~ is -y; adding 0.0 clears negative zeros as
-    # ``conjugate`` does.
-    objective = ((-y + 0.0) + ax).max(axis=0)
-    return x, y, objective
+    return ((-y + 0.0) + ax).max(axis=0)
+
+
+def _one_coordinate_joins(
+    g: np.ndarray, z: np.ndarray, new: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # G z, and the matrix whose column i is G z' for z' = z with z_i set to
+    # new_i.  (G z')_r = max_k fl(G_rk + z'_k) is the join of the terms
+    # k != i, read off prefix and suffix maxima of the terms of G z, and the
+    # changed term fl(G_ri + new_i): the product's own sums, so its bits,
+    # also when new_i lies below z_i.
+    terms = g + z
+    rows, cols = terms.shape
+    before = np.full((rows, cols + 1), -np.inf)
+    np.maximum.accumulate(terms, axis=1, out=before[:, 1:])
+    after = np.full((rows, cols + 1), -np.inf)
+    after[:, :cols] = np.maximum.accumulate(terms[:, ::-1], axis=1)[:, ::-1]
+    others = np.maximum(before[:, :cols], after[:, 1:])
+    return before[:, cols], np.maximum(others, g + new)
+
+
+def _corner_schedules(
+    result: StageTwoResult, inst: ProblemInstance
+) -> tuple[np.ndarray, np.ndarray]:
+    # x = X* (u + D1~ v) and y = Y* (C_eta u + v) of the m + n + 1 box
+    # corners, regular or not, in candidate order: the lower corner, then
+    # each u_k, then each v_k raised to its upper bound.  A corner moves one
+    # coordinate of the lower corner, so D1~ v, C_eta u, x of the u-corners
+    # and y of the v-corners are one-coordinate joins.  The arguments that
+    # move in every coordinate, u + D1~ v of the v-corners and C_eta u + v of
+    # the u-corners, go through one product each.
+    dm = result.derived
+    g, h = result.u_lower.raw[:, 0], result.u_upper.raw[:, 0]
+    q, r = result.v_lower.raw[:, 0], result.v_upper.raw[:, 0]
+    dv, dv_raised = _one_coordinate_joins(dm.D1conj.raw, q, r)
+    cu, cu_raised = _one_coordinate_joins(_c_eta(dm, result.eta, inst).raw, g, h)
+    x_low, x_u = _one_coordinate_joins(
+        result.x_generator.raw, np.maximum(g, dv), np.maximum(h, dv)
+    )
+    y_low, y_v = _one_coordinate_joins(
+        result.y_generator.raw, np.maximum(cu, q), np.maximum(cu, r)
+    )
+    x_v = mat_mul(result.x_generator, TropMatrix._wrap(np.maximum(g[:, None], dv_raised)))
+    y_u = mat_mul(result.y_generator, TropMatrix._wrap(np.maximum(cu_raised, q[:, None])))
+    x = np.hstack((x_low[:, None], x_u, x_v.raw))
+    y = np.hstack((y_low[:, None], y_u.raw, y_v))
+    return x, y
 
 
 def materialize(
@@ -458,9 +515,10 @@ def materialize(
 ) -> ScheduleSolution:
     """Schedule for a concrete parameter choice inside the box.
 
-    It is the one-column case of the batched product that
-    ``extreme_points`` runs over every box corner: x = X* (u + D1~ v) and
-    y = Y* (C_eta u + v), associated in that order.
+    x = X* (u + D1~ v) and y = Y* (C_eta u + v), associated in that order,
+    as the one-column case of the batched product ``_schedules``, the
+    general route for any parameter columns; ``extreme_points`` builds the
+    box corners' schedules by one-coordinate joins with the same bits.
     """
     if not result.feasible:
         raise StageTwoInfeasible("cannot materialise from an infeasible result")
@@ -501,33 +559,42 @@ def extreme_points(
 
     Candidates are the all-lower parameter point plus, for each coordinate
     of (u, v), the point with that coordinate raised to its upper bound.
-    All m + n + 1 of them are materialised in one batched product; those
-    whose schedule has a zero-element component are dropped (zero-element
-    lower bounds may not define a schedule), and the rest are deduplicated
-    in candidate order, a candidate being kept unless its (x, y) lies
-    within 1e-9 of an already kept one in every entry.  That leaves at
-    most m + n + 1 distinct points.
+    Their schedules are built from the lower corner's: each corner moves
+    one coordinate, so most of its schedule is a one-coordinate join of
+    the lower corner's terms, exact also where an upper bound lies up to
+    the feasibility tolerance below its lower bound, and only the arguments
+    that move in every coordinate go through a product (one per
+    generator); the schedules are ``materialize``'s to the bit.  Those with
+    a zero-element component are dropped (zero-element lower bounds may
+    not define a schedule), and the rest are deduplicated in candidate
+    order, a candidate being kept unless its (x, y) lies within 1e-9 of an
+    already kept one in every entry; exact copies of an earlier candidate
+    go first, since one is always dropped.  That leaves at most m + n + 1
+    distinct points, whose objectives are the only ones computed.
     """
     if not result.feasible:
         raise StageTwoInfeasible("no extreme points for an infeasible result")
-    lower = _stack(result.u_lower, result.v_lower).raw
-    upper = _stack(result.u_upper, result.v_upper).raw
-    candidates = np.repeat(lower, len(lower) + 1, axis=1)
-    np.fill_diagonal(candidates[:, 1:], upper[:, 0])
-    x, y, objective = _schedules(result, candidates, inst)
+    x, y = _corner_schedules(result, inst)
+    regular = _regular(x, y)
+    x, y = x[:, regular], y[:, regular]
     points = np.vstack((x, y))
+    first: dict[bytes, int] = {}
+    for j, column in enumerate(points.T.copy()):
+        first.setdefault(column.tobytes(), j)
     kept: list[int] = []
-    for j in range(points.shape[1]):
+    for j in first.values():
         diff = np.abs(points[:, kept] - points[:, j, None])
         if not (diff <= 1e-9).all(axis=0).any():
             kept.append(j)
+    x, y = x[:, kept], y[:, kept]
+    objective = _objectives(x, y, inst)
     return [
         ScheduleSolution(
             x=TropMatrix._wrap(x[:, j : j + 1]),
             y=TropMatrix._wrap(y[:, j : j + 1]),
             objective=TropValue.from_raw(float(objective[j])),
         )
-        for j in kept
+        for j in range(len(kept))
     ]
 
 

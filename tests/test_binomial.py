@@ -1,12 +1,9 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from conftest import NEG_INF, assert_close, rand_mat, rooted, triangle_form_terms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropsched import binomial
 from tropsched.binomial import (
     binomial_power_sum,
     binomial_trace_sum,
@@ -181,16 +178,14 @@ def form_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(form_cases(), st.booleans())
-def test_form_families_match_triangle_loop(case, pruned):
+@given(form_cases())
+def test_form_families_match_triangle_loop(case):
     # Filling by anti-diagonal products changes only the order in which the
-    # cells are evaluated, and pruning only drops walks below a family, so
-    # every family must equal the cell loop's rooted forms bit for bit, with
-    # the fill pruned from p = 1 on or not at all.
+    # cells are evaluated, and the certificate and the pruning only drop
+    # walks below a family, so every family must equal the cell loop's
+    # rooted forms bit for bit, whichever fill the routine takes.
     p_mat, q_mat, rhs, forms, p = case
-    cutoff = 1 if pruned else p + 1
-    with mock.patch.object(binomial, "_PRUNED_FILL_FROM", cutoff):
-        got = form_families(p_mat, q_mat, rhs, forms, p)
+    got = form_families(p_mat, q_mat, rhs, forms, p)
     ref = [
         rooted(triangle_form_terms(lhs, p_mat, q_mat, rhs, p), offset)
         for lhs, offset in forms

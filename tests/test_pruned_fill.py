@@ -1,12 +1,15 @@
-"""The bound-pruned form fill against the full one.
+"""The certified and the pruned form fills against the full triangle.
 
-From its cutoff order on, ``binomial.form_families`` leaves out of each
+``binomial.form_families`` returns the pure-P chain's families when one
+product shows that no walk with a Q-arc can come within its rounding band
+of a family's value (the certificate), and otherwise leaves out of each
 anti-diagonal product the rows of the (k, l) triangle through which no walk
-can come within its rounding band of a family's value.  Its families must
-equal, bit for bit, those of the full fill, the same routine with the
-cutoff moved above p: on holes, non-dyadic thirds, 1e9 shifts, zero-weight
-Q-cycles, and families with no finite pure-P walk, which bound nothing.
-With Q all zero (stage one) the routine makes no anti-diagonal product.
+can.  Its families must equal, bit for bit, those of the cell-by-cell
+triangle (``conftest.triangle_form_terms``): on holes, non-dyadic thirds,
+1e9 shifts, zero-weight Q-cycles, and families with no finite pure-P walk,
+which bound nothing, so that every row is multiplied.  With Q all zero
+(stage one), and on certified tables, the routine makes no anti-diagonal
+product.
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import rooted, triangle_form_terms
 from hypothesis import HealthCheck, event, example, given, settings
 from hypothesis import strategies as st
 
-from tropsched import binomial
+from tropsched import binomial, scheduler
 from tropsched.binomial import form_families
 from tropsched.instances import random_scale_instance
 from tropsched.linalg import TropMatrix
@@ -30,23 +34,27 @@ NEG_INF = float("-inf")
 
 
 def pure_p_values(p_mat, rhs, forms, p) -> list[TropValue]:
-    """The families over pure-P walks alone: the pruning's lower bounds v."""
+    """The families over pure-P walks alone: the certificate's lower bounds v."""
     zero = TropMatrix.zeros(p_mat.rows, p_mat.rows)
     return form_families(p_mat, zero, rhs, forms, p)
 
 
-def fill(p_mat, q_mat, rhs, forms, p, pruned: bool) -> list[TropValue]:
-    """``form_families`` pruned from p = 1 on, or not pruned at all."""
-    cutoff = 1 if pruned else p + 1
-    with mock.patch.object(binomial, "_PRUNED_FILL_FROM", cutoff):
-        return form_families(p_mat, q_mat, rhs, forms, p)
+def full_fill(p_mat, q_mat, rhs, forms, p) -> list[float]:
+    """Raw families of the cell-by-cell triangle, every walk included."""
+    return [
+        rooted(triangle_form_terms(lhs, p_mat, q_mat, rhs, p), o).raw
+        for lhs, o in forms
+    ]
+
+
+def raws(values: list[TropValue]) -> list[float]:
+    return [v.raw for v in values]
 
 
 @contextlib.contextmanager
 def counting_fill_rows():
-    """Rows of every anti-diagonal product, the mat_mul of d-column rows
-    against the d x 2d operand [P; Q]^T.  The closing lhs . columns product
-    has that shape only when p + 1 == 2d."""
+    """Rows of every anti-diagonal product, the only mat_mul in ``binomial``
+    against a d x 2d operand, [P; Q]^T."""
     rows: list[int] = []
     real = binomial.mat_mul
 
@@ -57,6 +65,21 @@ def counting_fill_rows():
 
     with mock.patch.object(binomial, "mat_mul", counting):
         yield rows
+
+
+@contextlib.contextmanager
+def recording_tables():
+    """(arguments, families) of every ``form_families`` call of the scheduler."""
+    calls = []
+    real = scheduler.form_families
+
+    def recording(*args):
+        got = real(*args)
+        calls.append((args, got))
+        return got
+
+    with mock.patch.object(scheduler, "form_families", recording):
+        yield calls
 
 
 @st.composite
@@ -130,12 +153,21 @@ def test_pruned_families_match_full_fill(case):
     lows = pure_p_values(p_mat, rhs, forms, p)
     event(label)
     with counting_fill_rows() as rows:
-        got = fill(p_mat, q_mat, rhs, forms, p, pruned=True)
-    assert got == fill(p_mat, q_mat, rhs, forms, p, pruned=False)
-    if any(v.is_zero for v in lows):
-        event("a family bounds nothing")
-    elif sum(rows) < p * (p + 1) // 2:
-        event("rows dropped")
+        got = form_families(p_mat, q_mat, rhs, forms, p)
+    assert raws(got) == full_fill(p_mat, q_mat, rhs, forms, p)
+    triangle = p * (p + 1) // 2
+    if q_mat.is_zero_matrix():
+        event("Q all zero")
+        assert rows == []
+    elif any(v.is_zero for v in lows):
+        event("no bound")
+        assert rows == list(range(1, p + 1))
+    elif not rows:
+        event("certified")
+        assert got == lows
+    else:
+        event("pruned")
+        assert len(rows) == p and sum(rows) <= triangle
 
 
 def test_family_without_pure_p_walk_stops_pruning():
@@ -143,7 +175,7 @@ def test_family_without_pure_p_walk_stops_pruning():
     # only 1 -> 0, so every walk of that family needs a Q-arc: its value is
     # 3 while its pure-P value is the zero element.  The second family's
     # pure-P walk (P once, then lhs at node 1) gives it the bound 11 / 2,
-    # which the first family's winning walk, ending at node 0, cannot meet.
+    # which no walk with a Q-arc meets: alone, it is certified.
     p_mat = TropMatrix([[None, None], [1, None]])
     q_mat = TropMatrix([[None, 2], [None, None]])
     rhs = TropMatrix.column([0, None])
@@ -156,50 +188,69 @@ def test_family_without_pure_p_walk_stops_pruning():
         ]
         for forms in ((first,), (second,), (first, second), (second, first)):
             with counting_fill_rows() as rows:
-                got = fill(p_mat, q_mat, rhs, forms, p, pruned=True)
-            assert got == fill(p_mat, q_mat, rhs, forms, p, pruned=False)
+                got = form_families(p_mat, q_mat, rhs, forms, p)
+            assert raws(got) == full_fill(p_mat, q_mat, rhs, forms, p)
             if first in forms:  # no bound: every row is multiplied
-                assert sum(rows) == p * (p + 1) // 2
+                assert rows == list(range(1, p + 1))
             else:
-                assert sum(rows) < p * (p + 1) // 2
+                assert rows == []
         assert got == [TropValue(5.5), TropValue(3.0)]
 
 
-def test_pruned_fill_multiplies_few_rows(monkeypatch):
-    # random_scale_instance keeps about one row per anti-diagonal here.
-    p = 60
-    inst = random_scale_instance(np.random.default_rng(0), p, p)
-    dm = solve(inst).stage2.derived
-    with counting_fill_rows() as rows:
-        pruned = eta_term_families(dm, inst)
-    kept = sum(rows)
-    monkeypatch.setattr(binomial, "_PRUNED_FILL_FROM", p + 1)
-    with counting_fill_rows() as rows:
-        full = eta_term_families(dm, inst)
-    triangle = p * (p + 1) // 2
-    assert sum(rows) == 2 * triangle  # the full fill multiplies every row
-    assert 0 < kept < 0.1 * 2 * triangle
-    assert pruned == full
-
-
-@pytest.mark.parametrize("step", [-1, 0])
-def test_pruned_fill_from_the_cutoff(monkeypatch, step):
-    # Below the cutoff both stage-two tables multiply every row of every
-    # anti-diagonal; from it on, fewer, with the same families.
-    p = binomial._PRUNED_FILL_FROM + step
-    inst = random_scale_instance(np.random.default_rng(p), p + 3, p)
+@pytest.mark.parametrize("m, n", [(40, 40), (60, 60), (10, 100), (100, 10)])
+def test_certified_tables_fill_no_anti_diagonal(m, n):
+    # On random_scale_instance no walk with a Q-arc comes near a family, so
+    # both stage-two tables return the pure-P chain's families.
+    inst = random_scale_instance(np.random.default_rng(0), m, n)
     report = solve(inst)
     assert report.status == "optimal"
-    with counting_fill_rows() as rows:
+    with counting_fill_rows() as rows, recording_tables() as calls:
         terms = eta_term_families(report.stage2.derived, inst)
     assert terms == report.stage2_terms
-    if step < 0:
-        assert rows == 2 * list(range(1, p + 1))
-    else:
-        assert len(rows) == 2 * p
-        assert sum(rows) < p * (p + 1)
-    monkeypatch.setattr(binomial, "_PRUNED_FILL_FROM", p + 1)
-    assert eta_term_families(report.stage2.derived, inst) == terms
+    assert rows == [] and len(calls) == 2
+    for (p_mat, q_mat, rhs, forms, p), got in calls:
+        assert p == min(m, n) and not q_mat.is_zero_matrix()
+        assert raws(got) == full_fill(p_mat, q_mat, rhs, forms, p)
+
+
+def test_q_arc_walk_refuses_certificate():
+    # One heavy Q-arc, 1 -> 0, lifts a walk through it strictly above every
+    # pure-P walk: the certificate refuses, and the pruned fill multiplies
+    # fewer rows than the whole triangle.
+    rng = np.random.default_rng(0)
+    d, p = 6, 8
+    p_raw = rng.integers(-6, 1, (d, d)).astype(float)
+    q_raw = rng.integers(-9, -2, (d, d)).astype(float)
+    q_raw[0, 1] = 6.0
+    p_mat, q_mat = TropMatrix(p_raw), TropMatrix(q_raw)
+    rhs = TropMatrix(rng.integers(-3, 4, (d, 1)).astype(float))
+    forms = ((TropMatrix(rng.integers(-3, 4, (1, d)).astype(float)), 0),)
+    (low,) = pure_p_values(p_mat, rhs, forms, p)
+    with counting_fill_rows() as rows:
+        (got,) = form_families(p_mat, q_mat, rhs, forms, p)
+    assert got.value > low.value
+    assert [got.raw] == full_fill(p_mat, q_mat, rhs, forms, p)
+    assert len(rows) == p and sum(rows) < p * (p + 1) // 2
+
+
+def test_zero_bound_family_multiplies_every_row():
+    # Node 0 has no P-arc in and holds neither rhs nor a pure-P walk, so a
+    # family whose lhs lives there only has walks ending in a Q-arc: the
+    # zero bound certifies nothing and prunes nothing.
+    rng = np.random.default_rng(1)
+    d, p = 5, 7
+    p_raw = rng.integers(-4, 3, (d, d)).astype(float)
+    p_raw[0] = NEG_INF
+    p_mat = TropMatrix(p_raw)
+    q_mat = TropMatrix(rng.integers(-4, 3, (d, d)).astype(float))
+    rhs = TropMatrix.column([None, 0, 1, -1, 2])
+    forms = ((TropMatrix([[0, None, None, None, None]]), 0),)
+    assert pure_p_values(p_mat, rhs, forms, p) == [TropValue.zero()]
+    with counting_fill_rows() as rows:
+        got = form_families(p_mat, q_mat, rhs, forms, p)
+    assert not got[0].is_zero
+    assert raws(got) == full_fill(p_mat, q_mat, rhs, forms, p)
+    assert rows == list(range(1, p + 1))
 
 
 def test_stage_one_fills_no_anti_diagonal():

@@ -9,6 +9,7 @@ from conftest import FIXTURES, assert_close, rand_mat
 import tropsched as ts
 from tropsched import inequality, linalg
 from tropsched.errors import (
+    InternalConsistency,
     InvalidInstance,
     ParameterOutOfBox,
     StageOneInfeasible,
@@ -22,6 +23,7 @@ from tropsched.instances import (
 )
 from tropsched.io_cli import parse_instance
 from tropsched.linalg import TropMatrix, conjugate, is_regular, mat_add, mat_mul, scalar_mul
+from tropsched.scheduler import _corner_schedules, _regular, _schedules
 from tropsched.semiring import TropValue, t_inv
 
 
@@ -331,18 +333,11 @@ def _reference_extreme_points(result, inst):
     # Per-candidate route: every box corner on its own, then deduplication
     # against the points kept so far with allclose.  Also returns the
     # candidates without a schedule and counts the near duplicates (within
-    # 1e-9 of a kept point, not equal to it).
+    # 1e-9 of a kept point, not equal to it) and the exact ones.
     n = inst.n
-    lower = np.vstack((result.u_lower.raw, result.v_lower.raw))
-    upper = np.vstack((result.u_upper.raw, result.v_upper.raw))
-    corners = [lower]
-    for k in range(len(lower)):
-        w = lower.copy()
-        w[k] = upper[k]
-        corners.append(w)
-    points, irregular, near = [], [], 0
-    for w in corners:
-        u, v = TropMatrix(w[:n]), TropMatrix(w[n:])
+    points, irregular, near, exact = [], [], 0, 0
+    for w in _box_corners(result).T:
+        u, v = TropMatrix(w[:n, None]), TropMatrix(w[n:, None])
         sol = _reference_schedule(result, u, v, inst)
         if sol is None:
             irregular.append((u, v))
@@ -352,7 +347,19 @@ def _reference_extreme_points(result, inst):
             points.append(sol)
         elif all(sol.x != p.x or sol.y != p.y for p in same):
             near += 1
-    return points, irregular, near
+        else:
+            exact += 1
+    return points, irregular, near, exact
+
+
+def _box_corners(result):
+    # The lower corner, then each coordinate of (u, v) raised to its upper
+    # bound, as columns.
+    lower = np.vstack((result.u_lower.raw, result.v_lower.raw))
+    upper = np.vstack((result.u_upper.raw, result.v_upper.raw))
+    corners = np.repeat(lower, len(lower) + 1, axis=1)
+    np.fill_diagonal(corners[:, 1:], upper[:, 0])
+    return corners
 
 
 def _with_open_lower_bounds(inst, rng):
@@ -363,6 +370,19 @@ def _with_open_lower_bounds(inst, rng):
         return TropMatrix(raw)
 
     return replace(inst, g=open_some(inst.g), q=open_some(inst.q))
+
+
+def _transformed(inst, thirds, shift):
+    # Every lag and bound divided by 3, and the lags and due-date bounds
+    # shifted by 1e9 (a shift of y alone: g <= h and q <= r still hold).
+    def mat(m, by=0.0):
+        raw = m.raw / 3 if thirds else m.raw
+        return TropMatrix(raw + (by if shift else 0.0))
+
+    lags = {k: mat(getattr(inst, k), 1e9) for k in "ABCD"}
+    return replace(
+        inst, **lags, g=mat(inst.g), h=mat(inst.h), q=mat(inst.q, 1e9), r=mat(inst.r, 1e9)
+    )
 
 
 def _narrow_box(result, width):
@@ -379,10 +399,34 @@ def _narrow_box(result, width):
     )
 
 
-def test_extreme_points_match_per_candidate_reference(rng):
-    results = []
-    for _ in range(40):
+def _sunken_box(result, rng):
+    # Upper bounds 0 to 1e-9 below the finite lower bounds, as the box
+    # check's tolerance allows: raising such a coordinate lowers it.  On
+    # 1e9-sized bounds the depth is below one ulp, so the upper bound is the
+    # lower one and the corner copies the lower corner exactly.
+    def sink(lower, upper):
+        lo = lower.raw
+        depth = rng.choice([0.0, 2e-10, 1e-9], size=lo.shape)
+        return TropMatrix(np.where(np.isfinite(lo), lo - depth, upper.raw))
+
+    return replace(
+        result,
+        u_upper=sink(result.u_lower, result.u_upper),
+        v_upper=sink(result.v_lower, result.v_upper),
+    )
+
+
+def _extreme_point_cases(rng):
+    # Optimal results on random, sparse-with-open-bounds, thirds and
+    # 1e9-shifted instances, m = 1 and n = 1 among them, each also with its
+    # box narrowed to 4e-10 and 3e-9 and sunk below its lower bounds.
+    instances = []
+    for i in range(48):
         m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        if i % 8 == 0:
+            m = 1
+        elif i % 8 == 1:
+            n = 1
         if rng.random() < 0.5:
             inst = random_feasible_instance(rng, m, n)
         else:
@@ -390,21 +434,33 @@ def test_extreme_points_match_per_candidate_reference(rng):
             # candidates without a schedule.
             sparse = random_feasible_instance(rng, m, n, density=0.5)
             inst = _with_open_lower_bounds(sparse, rng)
+        thirds, shift = ((True, False), (False, True), (True, True))[i % 3]
+        instances += [inst, _transformed(inst, thirds, shift)]
+    for m, n in ((4, 15), (15, 4)):
+        instances.append(random_scale_instance(rng, m, n))
+    results = []
+    for inst in instances:
         try:
             rep = ts.solve(inst)
-        except InvalidInstance:
-            continue  # open bounds can leave the stage-one objective unbounded
+        except (InvalidInstance, InternalConsistency):
+            # Open bounds can leave the stage-one objective unbounded, and
+            # 1e9-shifted data can fail the solution set's box check.
+            continue
         if rep.status == "optimal":
             results.append((rep.stage2, inst))
-    for m, n in ((4, 15), (15, 4)):
-        inst = random_scale_instance(rng, m, n)
-        results.append((ts.solve(inst).stage2, inst))
     for result, inst in list(results):
-        results += [(_narrow_box(result, 4e-10), inst), (_narrow_box(result, 3e-9), inst)]
+        results += [
+            (_narrow_box(result, 4e-10), inst),
+            (_narrow_box(result, 3e-9), inst),
+            (_sunken_box(result, rng), inst),
+        ]
+    return results
 
-    shapes, irregular, near = set(), 0, 0
-    for result, inst in results:
-        ref, ref_irregular, ref_near = _reference_extreme_points(result, inst)
+
+def test_extreme_points_match_per_candidate_reference(rng):
+    shapes, irregular, near, exact, sunk = set(), 0, 0, 0, 0
+    for result, inst in _extreme_point_cases(rng):
+        ref, ref_irregular, ref_near, ref_exact = _reference_extreme_points(result, inst)
         got = ts.extreme_points(result, inst)
         assert len(got) == len(ref)
         for p, r in zip(got, ref):
@@ -412,11 +468,25 @@ def test_extreme_points_match_per_candidate_reference(rng):
         for u, v in ref_irregular:
             with pytest.raises(ParameterOutOfBox, match="undefined components"):
                 ts.materialize(result, u, v, inst)
-        shapes.add(inst.m <= inst.n)
+        shapes.add((inst.m <= inst.n, min(inst.m, inst.n) == 1))
         irregular += len(ref_irregular)
         near += ref_near
-    assert shapes == {True, False}
-    assert irregular > 0 and near > 0
+        exact += ref_exact
+        sunk += bool((result.u_upper.raw < result.u_lower.raw).any())
+    assert shapes == {(True, True), (True, False), (False, True), (False, False)}
+    assert irregular > 0 and near > 0 and exact > 0 and sunk > 0
+
+
+def test_corner_schedules_match_batched_product(rng):
+    # The corner route builds each corner's schedule from the lower
+    # corner's; on the full candidate matrix it must give the batched
+    # product's schedules bit for bit, and the same regular columns.
+    for result, inst in _extreme_point_cases(rng):
+        x, y, _ = _schedules(result, _box_corners(result), inst)
+        cx, cy = _corner_schedules(result, inst)
+        regular = _regular(cx, cy)
+        assert cx[:, regular].tobytes() == x.tobytes()
+        assert cy[:, regular].tobytes() == y.tobytes()
 
 
 def test_materialize_matches_reference(rng):
