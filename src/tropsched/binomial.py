@@ -118,6 +118,10 @@ def weighted_trace_terms(
     return {k: trace(table.cell(k, p - k)) for k in range(1, p + 1)}
 
 
+# tau = 8 eps (p+2)^2 M, the band of ``form_families``' row test.
+_TAU_UNIT = 8 * np.finfo(float).eps
+
+
 def form_families(
     p_mat: TropMatrix,
     q_mat: TropMatrix,
@@ -208,11 +212,13 @@ def form_families(
         if lhs.rows != 1 or lhs.cols != d:
             raise DimensionMismatch(f"form requires a 1x{d} lhs, got {lhs.shape}")
 
+    ends = np.concatenate([lhs.raw for lhs, _ in forms])  # one lhs per row
+    offsets = [o for _, o in forms]
+
     def rooted(columns: np.ndarray) -> list[TropValue]:
         # The families read off a d x (p+1) array of table columns.
-        return [
-            _rooted_join((lhs.raw.T + columns).max(axis=0), o) for lhs, o in forms
-        ]
+        values = (ends[:, :, None] + columns).max(axis=1)
+        return [_rooted_join(row, o) for row, o in zip(values, offsets)]
 
     # chain[k] = P^k rhs, one row reduction per power.
     chain = np.empty((p + 1, d))
@@ -226,19 +232,18 @@ def form_families(
     if bounded:
         # Per family i: limits[i, k] = v k - tau and completions[r, i] = U[r].
         v = np.array([low.value for low in lows])
-        data = max(_finite_abs_max(mat) for mat in (p_mat, q_mat, rhs))
-        size = [
-            max(1.0, abs(x) * (p + 1), data, _finite_abs_max(lhs))
-            for x, (lhs, _) in zip(v, forms)
-        ]
-        tau = 8 * np.finfo(float).eps * (p + 2) ** 2 * np.array(size)
+        size = np.abs(v) * (p + 1)
+        data = _finite_abs_max(np.concatenate((p_mat.raw, q_mat.raw, rhs.raw.T)))
+        np.maximum(size, np.maximum(data, _finite_abs_max(ends, axis=1)), out=size)
+        tau = _TAU_UNIT * (p + 2) ** 2 * np.maximum(size, 1.0)
         limits = v[:, None] * np.arange(p) - tau[:, None]
         # U[r] = U[r-1] (I + max(P - v, Q)): one batched product per step.
-        hops = np.maximum(p_mat.raw - v[:, None, None], q_mat.raw)
-        nodes = np.arange(d)
-        hops[:, nodes, nodes] = np.maximum(hops[:, nodes, nodes], 0.0)
+        hops = np.empty((len(forms), d, d))
+        np.maximum(p_mat.raw - v[:, None, None], q_mat.raw, out=hops)
+        loops = hops.reshape(len(forms), d * d)[:, :: d + 1]  # diagonals, a view
+        np.maximum(loops, 0.0, out=loops)
         completions = np.empty((p + 1, len(forms), d))
-        completions[0] = [lhs.raw[0] - x * o for x, (lhs, o) in zip(v, forms)]
+        completions[0] = ends - (v * offsets)[:, None]
         for r in range(1, p + 1):
             completions[r] = (completions[r - 1][:, :, None] + hops).max(axis=1)
         # The certificate: row k of first_q is Q P^k rhs, k P-arcs and k + 1
@@ -254,14 +259,17 @@ def form_families(
     diag = np.empty((p + 1, d))
     diag[0] = rhs.raw[:, 0]
     for s in range(1, p + 1):
+        # With every row kept, rows are slices: cheaper than an index array.
+        rows, above = slice(0, s), slice(1, s + 1)
         if bounded:
             reach = (diag[None, :s] + completions[p - s + 1][:, None]).max(axis=2)
-            rows = np.flatnonzero((reach >= limits[:, :s]).any(axis=0))
-        else:
-            rows = np.arange(s)
+            kept = np.flatnonzero((reach >= limits[:, :s]).any(axis=0))
+            if kept.size < s:
+                rows, above = kept, kept + 1
         pq = mat_mul(TropMatrix._wrap(diag[rows]), pq_t).raw
-        diag[: s + 1] = -np.inf  # rows left out are the zero element
-        diag[rows + 1] = pq[:, :d]
+        if not isinstance(rows, slice):
+            diag[: s + 1] = -np.inf  # rows left out are the zero element
+        diag[above] = pq[:, :d]
         diag[0] = rhs.raw[:, 0]
         diag[rows] = np.maximum(diag[rows], pq[:, d:])
     return rooted(diag.T)
@@ -278,6 +286,8 @@ def _rooted_join(forms: np.ndarray, offset: int) -> TropValue:
     return TropValue.from_raw(float(roots[np.argmax(roots)]))
 
 
-def _finite_abs_max(mat: TropMatrix) -> float:
-    finite = mat.raw[np.isfinite(mat.raw)]
-    return float(np.abs(finite).max(initial=0.0))
+def _finite_abs_max(raw: np.ndarray, axis: int | None = None) -> np.ndarray:
+    # The largest finite |entry|, 0 where there is none: -inf is the only
+    # non-finite entry, and its absolute value is the one left out.
+    size = np.abs(raw)
+    return size.max(axis=axis, where=size != np.inf, initial=0.0)

@@ -2,9 +2,13 @@
 
 Storage is a dense row-major float64 array where -inf encodes the zero
 element; construction rejects NaN and +inf so the only non-finite value
-ever present is -inf, for which max/+ arithmetic is exact.  Vectors are
-one-column matrices.  Matrices are immutable after construction and all
-kernels are pure functions.
+ever present is -inf, for which max/+ arithmetic is exact.  Construction,
+``mat_mul`` and ``conjugate`` always store row-major arrays, whatever the
+layout of their input; only views that callers wrap themselves (a block
+of a star, say) are strided, and ``mat_mul`` below its block limit takes
+those at the same cost.
+Vectors are one-column matrices.  Matrices are immutable after
+construction and all kernels are pure functions.
 """
 
 from __future__ import annotations
@@ -31,10 +35,11 @@ _NEG_INF = float("-inf")
 # still get a star; the inequality solver and the scheduler import it.
 FEASIBILITY_TOL = 1e-9
 
-# Above this many scalar ops the broadcast product is evaluated in row
-# blocks of at most this many (one row when a row alone is larger), so the
-# float64 temporary stays at 1 MiB unless one row needs more; blocks that
-# fit in cache are also faster than one large broadcast.
+# A product of at most this many scalar ops is summed in one float64
+# buffer (1 MiB); a larger one in row blocks of at most this many (one row
+# when a row alone is larger), so the temporary stays at 1 MiB unless one
+# row needs more; blocks that fit in cache are also faster than one large
+# broadcast.
 _MATMUL_BLOCK_LIMIT = 131_072
 
 
@@ -53,7 +58,7 @@ class TropMatrix:
 
     def __init__(self, rows: Sequence[Sequence] | np.ndarray):
         if isinstance(rows, np.ndarray):
-            data = rows.astype(np.float64, copy=True)
+            data = rows.astype(np.float64, order="C", copy=True)
         else:
             data = np.array(
                 [[_entry_to_raw(x) for x in row] for row in rows], dtype=np.float64
@@ -162,14 +167,29 @@ def mat_add(a: TropMatrix, b: TropMatrix) -> TropMatrix:
 
 
 def mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
-    """Max-plus matrix product."""
+    """Max-plus matrix product, stored row-major.
+
+    A product of r x k by k x c with at most ``_MATMUL_BLOCK_LIMIT`` sums
+    writes all of them, fl(a_it + b_tj), into one row-major (k, r, c)
+    buffer and reduces its outer axis: a running max over k contiguous
+    r x c slabs.  That schedule costs the same whatever the operands'
+    layout.  A broadcast whose temporary follows the operands' memory
+    order, reduced over its middle axis, ran 2-4x slower per sum on a
+    column-major right operand (a conjugate, before ``conjugate`` stored
+    row-major) or a short last dimension.  Larger products are summed in
+    row blocks of at most that many sums, each such a broadcast.  Max is
+    exact, so every entry is the max of the same float sums under any
+    schedule, to the bit.
+    """
     if a.cols != b.rows:
         raise DimensionMismatch(f"mul: inner dims {a.cols} and {b.rows} differ")
     wa, wb = a._data, b._data
     r, k = wa.shape
     c = wb.shape[1]
     if r * k * c <= _MATMUL_BLOCK_LIMIT:
-        out = (wa[:, :, None] + wb[None, :, :]).max(axis=1)
+        sums = np.empty((k, r, c))
+        np.add(wa.T[:, :, None], wb[:, None, :], out=sums)
+        out = sums.max(axis=0)
     else:
         out = np.empty((r, c))
         block = max(1, _MATMUL_BLOCK_LIMIT // (k * c))
@@ -191,8 +211,8 @@ def conjugate(a: TropMatrix) -> TropMatrix:
     """Multiplicative-inverse transpose; zero entries stay zero."""
     if a.is_zero_matrix():
         raise ZeroMatrix("conjugate of the all-zero matrix is undefined")
-    at = a._data.T
-    out = np.where(np.isfinite(at), -at, _NEG_INF)
+    out = np.negative(a._data.T, order="C")
+    out[out == np.inf] = _NEG_INF  # the negated zero elements
     out += 0.0  # normalise -0.0 payloads
     return TropMatrix._wrap(out)
 

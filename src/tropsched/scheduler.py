@@ -8,7 +8,9 @@ from one routine: stage one is stage two with an empty coupling block (D~
 for the combined conjugate, C as the objective lags, C1 = Q = S = zero).
 The cycle family is the maximum cycle mean of S* R (m >= n) or Q* P, the
 closure read off the stage condition's star (one Karp pass at order
-min(m, n)); the other three are root-scaled, degree-separated bilinear forms.
+min(m, n)); in stage one that closure is the identity, and Karp runs on R
+or P itself.  The other three are root-scaled, degree-separated bilinear
+forms.
 The full solution set is a pair of star generators acting on parameters
 ranging over a box, with at most m + n + 1 extreme schedules; they are the
 images of the box corners, each a one-coordinate change of the lower
@@ -273,7 +275,9 @@ def mu_term_families(inst: ProblemInstance) -> dict[str, TropValue]:
     stage-two families with P = C D~, R = D~ C, zero C1, Q, S and lags C,
     read off the stage-one build that also holds the stage condition.  With
     Q and S all zero, ``binomial.form_families`` reads each form family off
-    the plain chain of powers of R or P.
+    the plain chain of powers of R or P, and the cycle family is the
+    maximum cycle mean of R or P itself, with no product by the identity
+    closure.
     """
     return _term_families(_stage_one(inst), inst.C, inst, _MU_FAMILIES)
 
@@ -370,9 +374,17 @@ def _term_families(
         raise StarDiverges(f"star diverges: trace function value {tr.raw}", tr)
     n = inst.n
     if inst.m >= n:  # S* R
-        cycle = spectral_radius(mat_mul(TropMatrix._wrap(star.raw[:n, :n]), dm.R))
+        closure, arcs = star.raw[:n, :n], dm.R
     else:  # Q* P
-        cycle = spectral_radius(mat_mul(TropMatrix._wrap(star.raw[n:, n:]), dm.P))
+        closure, arcs = star.raw[n:, n:], dm.P
+    if dm.C1.is_zero_matrix():
+        # Stage one: with no coupling block the closure is the identity, and
+        # I R is R to the bit.  R (or P) holds no -0.0: each of its sums has
+        # a term of D~, which ``conjugate`` leaves without -0.0, and a float
+        # sum is -0.0 only when both terms are.
+        cycle = spectral_radius(arcs)
+    else:
+        cycle = spectral_radius(mat_mul(TropMatrix._wrap(closure), arcs))
 
     lhs_g = mat_add(mat_mul(rc, dm.C1), hc)  # 1 x n
     lhs_q = mat_add(mat_mul(hc, dm.D1conj), rc)  # 1 x m

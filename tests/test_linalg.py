@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,19 +14,24 @@ from conftest import (
     rand_mat,
     rand_raw,
     reference_mat_mul,
+    zero_cycle_skew,
 )
 from hypothesis import given
 from hypothesis import strategies as st
 
 import tropsched
-from tropsched import linalg
+from tropsched import binomial, blockstar, inequality, linalg, scheduler
+from tropsched.blockstar import SkewBlock, skew_star
 from tropsched.errors import (
     DimensionMismatch,
     NotAVector,
     NotSquare,
     StarDiverges,
+    TropicalError,
     ZeroMatrix,
 )
+from tropsched.instances import random_feasible_instance, random_instance, random_scale_instance
+from tropsched.io_cli import dumps_report, report_to_dict
 from tropsched.linalg import (
     TropMatrix,
     conjugate,
@@ -41,6 +47,7 @@ from tropsched.linalg import (
     trace,
     trace_function,
 )
+from tropsched.scheduler import solve
 from tropsched.semiring import ZERO, TropValue, t_inv
 
 A_SQUARE = TropMatrix([[-1, -3], [0, -2]])
@@ -108,6 +115,83 @@ def test_mat_mul_blocked_matches_unblocked(rng, monkeypatch):
         assert np.array_equal(out.raw, whole.raw)
 
 
+def _bits(x: np.ndarray) -> tuple:
+    # Shape and bytes in row-major order: -0.0 and 0.0 differ here.
+    return x.shape, np.ascontiguousarray(x).tobytes()
+
+
+def _layouts(raw: np.ndarray) -> dict[str, np.ndarray]:
+    """The same entries in row-major, column-major and non-contiguous storage."""
+    rows, cols = raw.shape
+    padded = np.full((rows + 2, cols + 3), 7.0)
+    padded[1:-1, 2:-1] = raw
+    return {
+        "C": np.ascontiguousarray(raw),
+        "F": np.asfortranarray(raw),
+        "T view": np.ascontiguousarray(raw.T).T,
+        "block": padded[1:-1, 2:-1],
+        "strided": np.repeat(raw, 2, axis=1)[:, ::2],
+    }
+
+
+def _layout_cases(rng):
+    # Non-integer entries with holes; r, k or c equal to 1; a row of the
+    # left operand and a column of the right one made of the zero element.
+    shapes = [(1, 1, 1), (1, 5, 4), (4, 1, 3), (3, 4, 1), (1, 1, 6), (5, 3, 2), (2, 7, 5), (6, 2, 6)]
+    for r, k, c in shapes:
+        a = rand_raw(rng, r, k, density=0.8) / 3.0
+        b = rand_raw(rng, k, c, density=0.8) / 7.0
+        if r > 1:
+            a[int(rng.integers(r))] = NEG_INF
+        if c > 1:
+            b[:, int(rng.integers(c))] = NEG_INF
+        yield a, b
+
+
+def _check_layouts(cases):
+    for a, b in cases:
+        expected = _bits(reference_mat_mul(TropMatrix(a), TropMatrix(b)).raw)
+        for wa in _layouts(a).values():
+            for wb in _layouts(b).values():
+                out = mat_mul(TropMatrix._wrap(wa), TropMatrix._wrap(wb)).raw
+                assert out.flags.c_contiguous
+                assert _bits(out) == expected
+
+
+def test_mat_mul_layouts_match_reference(rng):
+    _check_layouts(list(_layout_cases(rng)))
+
+
+def test_mat_mul_blocked_layouts_match_reference(rng, monkeypatch):
+    cases = list(_layout_cases(rng))
+    for limit in (1, 8):
+        monkeypatch.setattr(linalg, "_MATMUL_BLOCK_LIMIT", limit)
+        _check_layouts(cases)
+
+
+def test_mat_mul_star_block_operand(rng):
+    # A diagonal block of a star, as the scheduler passes it: a view into
+    # the star's storage, with non-integer entries.
+    sb = zero_cycle_skew(rng, 4, 3)
+    star = skew_star(SkewBlock(TropMatrix(sb.B.raw / 3.0), TropMatrix(sb.C.raw / 3.0))).raw
+    for block, other in ((star[:4, :4], rand_raw(rng, 4, 5) / 7.0), (star[4:, 4:], rand_raw(rng, 3, 3) / 7.0)):
+        assert not block.flags.c_contiguous
+        for wb in _layouts(other).values():
+            out = mat_mul(TropMatrix._wrap(block), TropMatrix._wrap(wb)).raw
+            expected = reference_mat_mul(TropMatrix(block), TropMatrix(other)).raw
+            assert out.flags.c_contiguous and _bits(out) == _bits(expected)
+
+
+@pytest.mark.parametrize("r, k, c", [(3, 4, 0), (0, 4, 3), (0, 2, 0)])
+def test_mat_mul_empty_sides(r, k, c):
+    # The scheduler multiplies by no columns when no schedule is regular,
+    # and form tables by no rows when every row is pruned.
+    a = TropMatrix._wrap(np.zeros((r, k)))
+    b = TropMatrix._wrap(np.zeros((k, c)))
+    out = mat_mul(a, b).raw
+    assert out.shape == (r, c) and out.flags.c_contiguous
+
+
 def test_scalar_mul():
     a = TropMatrix([[1, None]])
     assert scalar_mul(TropValue(0), a) == a
@@ -121,6 +205,29 @@ def test_conjugate():
     assert conjugate(TropMatrix.column([2, 5])) == TropMatrix([[-2, -5]])
     with pytest.raises(ZeroMatrix):
         conjugate(TropMatrix([[None]]))
+
+
+def test_conjugate_row_major_with_old_bits(rng):
+    # The formula before the row-major output: np.where on the transposed
+    # view, then -0.0 cleared.
+    for rows, cols in ((1, 1), (1, 6), (5, 1), (4, 7), (7, 4)):
+        raw = rand_raw(rng, rows, cols, density=0.7) / 3.0
+        raw[0, 0] = 0.0
+        raw[-1, -1] = -0.0
+        at = raw.T
+        expected = np.where(np.isfinite(at), -at, NEG_INF) + 0.0
+        for layout in _layouts(raw).values():
+            out = conjugate(TropMatrix._wrap(layout)).raw
+            assert out.flags.c_contiguous
+            assert _bits(out) == _bits(expected)
+            assert not (np.signbit(out) & (out == 0.0)).any()
+
+
+def test_construction_stores_row_major(rng):
+    raw = rand_raw(rng, 4, 6) / 3.0
+    for layout in _layouts(raw).values():
+        data = TropMatrix(layout).raw
+        assert data.flags.c_contiguous and _bits(data) == _bits(raw)
 
 
 def test_trace():
@@ -370,3 +477,62 @@ def test_trace_function_vs_spectral_radius_sign(rng):
         tr = trace_function(a)
         rho = spectral_radius(a)
         assert (tr.raw <= 1e-12) == (rho.raw <= 1e-12)
+
+
+def _broadcast_mat_mul(a: TropMatrix, b: TropMatrix) -> TropMatrix:
+    """The single-block product before the (k, rows, cols) schedule.
+
+    Its temporary followed the operands' memory order and was reduced over
+    its middle axis; larger products take the kernel's blocked branch.
+    """
+    wa, wb = a.raw, b.raw
+    if wa.shape[0] * wa.shape[1] * wb.shape[1] > linalg._MATMUL_BLOCK_LIMIT:
+        return mat_mul(a, b)
+    return TropMatrix._wrap((wa[:, :, None] + wb[None, :, :]).max(axis=1))
+
+
+def _pipeline_outcomes(instances) -> list[str]:
+    out = []
+    for inst in instances:
+        try:
+            out.append(dumps_report(report_to_dict(solve(inst))))
+        except TropicalError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+def _scaled(inst, factor: float, shift: float):
+    # Lags and due-date bounds scaled, then shifted; release bounds scaled.
+    def moved(mat):
+        return TropMatrix(mat.raw * factor + shift)
+
+    return replace(
+        inst,
+        **{name: moved(getattr(inst, name)) for name in ("A", "B", "C", "D", "q", "r")},
+        g=TropMatrix(inst.g.raw * factor),
+        h=TropMatrix(inst.h.raw * factor),
+    )
+
+
+def test_pipeline_bits_match_broadcast_kernel(monkeypatch):
+    # Every report is byte-identical whichever schedule sums the products:
+    # each module imports mat_mul by name, so each one gets the old kernel.
+    rng = np.random.default_rng(16)
+    base = [
+        make(rng, m, n)
+        for m in range(1, 7)
+        for n in range(1, 7)
+        for make in (random_feasible_instance, random_instance)
+    ]
+    base += [random_scale_instance(rng, m, n) for m, n in ((10, 30), (30, 10))]
+    cases = [
+        _scaled(inst, factor, shift)
+        for inst in base
+        for factor, shift in ((1.0, 0.0), (1 / 3, 0.0), (1 / 3, 1e9))
+    ]
+    current = _pipeline_outcomes(cases)
+    for module in (linalg, scheduler, binomial, blockstar, inequality):
+        assert module.mat_mul is mat_mul
+        monkeypatch.setattr(module, "mat_mul", _broadcast_mat_mul)
+    assert _pipeline_outcomes(cases) == current
+    assert sum(text.startswith("{") for text in current) > len(cases) // 2

@@ -7,7 +7,7 @@ import pytest
 from conftest import FIXTURES, assert_close, rand_mat
 
 import tropsched as ts
-from tropsched import inequality, linalg
+from tropsched import inequality, linalg, scheduler
 from tropsched.errors import (
     InternalConsistency,
     InvalidInstance,
@@ -164,6 +164,40 @@ def test_derive_matrices_zero_entries():
     assert dm.D1conj == TropMatrix([[-2]])  # conjugate of the zero B joins neutrally
     dm = ts.derive_matrices(inst, TropValue(0))
     assert dm.C1 == inst.C
+
+
+def test_stage_one_cycle_family_reads_r_directly(rng):
+    # Stage one's star has identity diagonal blocks, so its cycle family is
+    # the cycle mean of R (or P) itself: the product by that identity block,
+    # which the stage no longer forms, returns R to the bit, also with -0.0
+    # among the lags C.
+    real = scheduler.mat_mul
+    for m, n in ((3, 5), (5, 3), (4, 4), (2, 6), (6, 2)):
+        inst = random_scale_instance(rng, m, n)
+        lags = inst.C.raw / 3.0
+        lags[0, 0] = -0.0
+        inst = replace(inst, C=TropMatrix(lags))
+        dm = scheduler._stage_one(inst)
+        assert dm.condition.feasible
+        if m >= n:
+            block, arcs = dm.condition.generator.raw[:n, :n], dm.R
+        else:
+            block, arcs = dm.condition.generator.raw[n:, n:], dm.P
+        assert np.array_equal(block, TropMatrix.identity(min(m, n)).raw)
+        product = real(TropMatrix._wrap(block), arcs).raw
+        assert product.tobytes() == arcs.raw.tobytes()
+        left_rows = []
+
+        def recording(a, b):
+            left_rows.append(a.rows)
+            return real(a, b)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scheduler, "mat_mul", recording)
+            terms = scheduler._term_families(dm, inst.C, inst, scheduler._MU_FAMILIES)
+        assert left_rows == [1, 1, 1]  # only the three row-vector forms
+        cycle = linalg.spectral_radius(TropMatrix._wrap(product))
+        assert terms["cycle_mean"].raw.hex() == cycle.raw.hex()
 
 
 def test_stage2_feasibility_worked():
