@@ -245,9 +245,9 @@ def report_to_dict(
     if report.stage2_value is not None:
         s2 = report.stage2
         stage2_doc: dict[str, Any] = {
-            "feasible": s2 is not None and s2.feasible,
+            "feasible": s2.feasible,
             "condition_value": _value_to_json(report.stage2_value),
-            "eta": _value_to_json(s2.eta if s2 is not None else None),
+            "eta": _value_to_json(s2.eta),
             "marginal": abs(report.stage2_value.raw) <= MARGINAL_BAND,
         }
         if report.stage2_terms is not None:
@@ -259,7 +259,7 @@ def report_to_dict(
             )
             stage2_doc["dominant_term_family"] = dominant[0]
         doc["stage2"] = stage2_doc
-        if s2 is not None and s2.feasible:
+        if s2.feasible:
             doc["solution_set"] = {
                 "u_box": {
                     "lower": _vector_to_list(s2.u_lower),

@@ -262,7 +262,7 @@ def _refined_search(
     ev: _StageEvaluator,
 ) -> tuple[bool, float, np.ndarray | None, list[float]]:
     lo, hi = ev.box()
-    if not ev.box_feasible() or not (lo <= hi + _FEAS_SLACK).all():
+    if not ev.box_feasible():
         return False, np.inf, None, []
     hi = np.maximum(hi, lo)
     if _grid_exceeds(lo, hi, _INITIAL_STEP, _MAX_EVALUATIONS):

@@ -180,9 +180,9 @@ class SolveReport:
     def status(self) -> str:
         if not self.stage1.feasible:
             return "stage1_infeasible"
-        if self.stage2_value is None and self.stage2 is None:
+        if self.stage2 is None:
             return "stage1_solved"  # pipeline stopped after stage one by request
-        if self.stage2 is None or not self.stage2.feasible:
+        if not self.stage2.feasible:
             return "stage2_infeasible"
         return "optimal"
 
@@ -441,26 +441,6 @@ def solution_set(
     )
 
 
-def _schedules(
-    result: StageTwoResult, w: np.ndarray, inst: ProblemInstance
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Schedules of the parameter columns w = (u; v), all in one product each:
-    # X = X* (U + D1~ V), Y = Y* (C_eta U + V), and per column the objective
-    # max_i (y~_i + (A x)_i).  Only the columns whose x and y are both
-    # regular are returned (x, y and objectives), in their order in w.
-    dm = result.derived
-    n = inst.n
-    u = TropMatrix._wrap(w[:n])
-    v = TropMatrix._wrap(w[n:])
-    x = mat_mul(result.x_generator, mat_add(u, mat_mul(dm.D1conj, v))).raw
-    y = mat_mul(
-        result.y_generator, mat_add(mat_mul(_c_eta(dm, result.eta, inst), u), v)
-    ).raw
-    regular = _regular(x, y)
-    x, y = x[:, regular], y[:, regular]
-    return x, y, _objectives(x, y, inst)
-
-
 def _regular(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # The columns whose x and y have no zero-element entry.
     return np.isfinite(x).all(axis=0) & np.isfinite(y).all(axis=0)
@@ -500,7 +480,8 @@ def _corner_schedules(
     # coordinate of the lower corner, so D1~ v, C_eta u, x of the u-corners
     # and y of the v-corners are one-coordinate joins.  The arguments that
     # move in every coordinate, u + D1~ v of the v-corners and C_eta u + v of
-    # the u-corners, go through one product each.
+    # the u-corners, go through one product each.  Every column is
+    # ``materialize``'s schedule of that corner to the bit.
     dm = result.derived
     g, h = result.u_lower.raw[:, 0], result.u_upper.raw[:, 0]
     q, r = result.v_lower.raw[:, 0], result.v_upper.raw[:, 0]
@@ -528,9 +509,9 @@ def materialize(
     """Schedule for a concrete parameter choice inside the box.
 
     x = X* (u + D1~ v) and y = Y* (C_eta u + v), associated in that order,
-    as the one-column case of the batched product ``_schedules``, the
-    general route for any parameter columns; ``extreme_points`` builds the
-    box corners' schedules by one-coordinate joins with the same bits.
+    one column through the matrix kernels.  ``extreme_points`` builds the
+    box corners' schedules by one-coordinate joins, tested against this
+    route bit for bit.
     """
     if not result.feasible:
         raise StageTwoInfeasible("cannot materialise from an infeasible result")
@@ -538,16 +519,17 @@ def materialize(
         raise ParameterOutOfBox("u lies outside the parameter box")
     if not _vec_leq(result.v_lower, v) or not _vec_leq(v, result.v_upper):
         raise ParameterOutOfBox("v lies outside the parameter box")
-    x, y, objective = _schedules(result, _stack(u, v).raw, inst)
-    if not objective.size:
+    dm = result.derived
+    x = mat_mul(result.x_generator, mat_add(u, mat_mul(dm.D1conj, v)))
+    y = mat_mul(
+        result.y_generator, mat_add(mat_mul(_c_eta(dm, result.eta, inst), u), v)
+    )
+    if not _regular(x.raw, y.raw).all():
         raise ParameterOutOfBox(
             "parameters produce a schedule with undefined components"
         )
-    return ScheduleSolution(
-        x=TropMatrix._wrap(x),
-        y=TropMatrix._wrap(y),
-        objective=TropValue.from_raw(float(objective[0])),
-    )
+    objective = _objectives(x.raw, y.raw, inst)
+    return ScheduleSolution(x=x, y=y, objective=TropValue.from_raw(float(objective[0])))
 
 
 def stage2_solution_check(
@@ -576,12 +558,13 @@ def extreme_points(
     the lower corner's terms, exact also where an upper bound lies up to
     the feasibility tolerance below its lower bound, and only the arguments
     that move in every coordinate go through a product (one per
-    generator); the schedules are ``materialize``'s to the bit.  Those with
-    a zero-element component are dropped (zero-element lower bounds may
-    not define a schedule), and the rest are deduplicated in candidate
-    order, a candidate being kept unless its (x, y) lies within 1e-9 of an
-    already kept one in every entry; exact copies of an earlier candidate
-    go first, since one is always dropped.  That leaves at most m + n + 1
+    generator); each schedule is the one ``materialize`` builds through the
+    kernels for that corner, to the bit.  Those with a zero-element
+    component are dropped (zero-element lower bounds may not define a
+    schedule), and the rest are deduplicated in candidate order, a
+    candidate being kept unless its (x, y) lies within 1e-9 of an already
+    kept one in every entry; exact copies of an earlier candidate go
+    first, since one is always dropped.  That leaves at most m + n + 1
     distinct points, whose objectives are the only ones computed.
     """
     if not result.feasible:

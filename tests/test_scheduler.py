@@ -23,7 +23,7 @@ from tropsched.instances import (
 )
 from tropsched.io_cli import parse_instance
 from tropsched.linalg import TropMatrix, conjugate, is_regular, mat_add, mat_mul, scalar_mul
-from tropsched.scheduler import _corner_schedules, _regular, _schedules
+from tropsched.scheduler import _corner_schedules, _regular
 from tropsched.semiring import TropValue, t_inv
 
 
@@ -511,16 +511,26 @@ def test_extreme_points_match_per_candidate_reference(rng):
     assert irregular > 0 and near > 0 and exact > 0 and sunk > 0
 
 
-def test_corner_schedules_match_batched_product(rng):
+def test_corner_schedules_match_materialize(rng):
     # The corner route builds each corner's schedule from the lower
-    # corner's; on the full candidate matrix it must give the batched
-    # product's schedules bit for bit, and the same regular columns.
+    # corner's; every corner must give materialize's schedule bit for bit,
+    # and a corner without a schedule must be refused by materialize.
+    irregular = 0
     for result, inst in _extreme_point_cases(rng):
-        x, y, _ = _schedules(result, _box_corners(result), inst)
+        n = inst.n
         cx, cy = _corner_schedules(result, inst)
         regular = _regular(cx, cy)
-        assert cx[:, regular].tobytes() == x.tobytes()
-        assert cy[:, regular].tobytes() == y.tobytes()
+        for j, w in enumerate(_box_corners(result).T):
+            u, v = TropMatrix(w[:n, None]), TropMatrix(w[n:, None])
+            if not regular[j]:
+                irregular += 1
+                with pytest.raises(ParameterOutOfBox, match="undefined components"):
+                    ts.materialize(result, u, v, inst)
+                continue
+            sol = ts.materialize(result, u, v, inst)
+            assert sol.x.raw.tobytes() == cx[:, j].tobytes()
+            assert sol.y.raw.tobytes() == cy[:, j].tobytes()
+    assert irregular > 0
 
 
 def test_materialize_matches_reference(rng):
@@ -597,6 +607,47 @@ def test_one_closure_per_stage(monkeypatch):
         systems.clear()
         assert ts.solve(parse_instance(FIXTURES[key])).status == status
         assert len(systems) == solved
+
+
+def test_solve_calls_each_traced_phase_once(monkeypatch):
+    # The benchmark tracer times solve's stage-two phases by these public
+    # names; solve must call each of them, once, so that none reads 0.
+    names = (
+        "solve_stage1",
+        "derive_matrices",
+        "check_stage2_feasibility",
+        "eta_term_families",
+        "solution_set",
+        "extreme_points",
+    )
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(scheduler, name, counting(name, getattr(scheduler, name)))
+    inst = random_scale_instance(np.random.default_rng(3), 6, 9)
+    assert ts.solve(inst).status == "optimal"
+    assert calls == dict.fromkeys(names, 1)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=InternalConsistency,
+    reason="ROADMAP item 2: near 1e9 one ulp exceeds the absolute tolerance, "
+    "so the solution set's box check fails at the computed optimum",
+)
+@pytest.mark.parametrize("m,n,seed", [(5, 5, 24), (5, 5, 33), (6, 6, 9)])
+def test_solve_gauge_shifted_by_1e9(m, n, seed):
+    # Every lag and bound divided by 3, then A-D, q and r shifted by 1e9:
+    # a gauge copy of an optimal instance, so it is optimal too.
+    inst = _transformed(random_scale_instance(np.random.default_rng(seed), m, n), True, True)
+    assert ts.solve(inst).status == "optimal"
 
 
 def test_solve_short_circuits():
