@@ -16,14 +16,16 @@ Both stages use only the vector forms, through one routine,
 ``form_families``: it propagates the triangle on one right-hand vector by
 one max-plus product per anti-diagonal, at O(n^2 p^2), and returns the
 rooted families of per-degree bilinear forms read off the last
-anti-diagonal.  It always runs the pure-A chain A^k rhs first (p row
+anti-diagonal.  It always runs the pure-A chain A^k rhs first (p
 reductions), whose families, with a zero B (stage one), are the result.
-Otherwise they bound the table: one product of the chain with B, tested
-against an upper bound on every completion, certifies when no walk with a
-B-factor can reach a family, and the chain's families are then the result
-with no anti-diagonal product; when it does not, the fill multiplies only
-the rows that can still reach a family's optimum, at any order.  Either
-way the families are the full fill's bit for bit.  The matrix table
+Otherwise they bound the table, and three tiers look for a certificate
+that no walk with a B-factor can reach a family, in which case the
+chain's families are the result with no anti-diagonal product: first a
+bound from the chain's largest entries and those of A and B, with no
+product; then one product of the chain with B, tested against an upper
+bound on every completion; and when neither certifies, the fill
+multiplies only the rows that can still reach a family's optimum, at any
+order.  Either way the families are the full fill's bit for bit.  The matrix table
 (``build_table`` and the power, trace and per-degree trace sums built on
 it) is library surface and the tests' reference.
 """
@@ -143,34 +145,58 @@ def form_families(
     bit.  The last anti-diagonal, e[k, p-k] = T[k, p-k] . rhs, gives every
     per-degree form of one lhs in one product.
 
-    The pure-P chain lhs . P^k rhs, p row reductions P e, is the table with
-    Q all zero, same sums, same max: with Q all zero (stage one) its
-    families are the result.  Otherwise its families v are lower bounds: a
-    walk of the table attains v, since the table holds the chain with the
-    same sums.  U[r] bounds every completion of at most r further arcs,
-    P-arcs weighted P - v and Q-arcs Q, ending in lhs - v o:
+    The pure-P chain lhs . P^k rhs, p reductions P e over the leading axis
+    of P^T, is the table with Q all zero, same sums, same max: with Q all
+    zero (stage one) its families are the result.  The leading axis takes
+    the max of the same float sums as a row reduction of P does; only the
+    sign of a zero max could depend on the order, and a float sum is -0.0
+    only when both terms are, so with no -0.0 in P no sum is -0.0.  The
+    pipeline's P and R hold none (``scheduler._term_families`` says why).
+    Otherwise the chain's families v are lower bounds: a walk of the table
+    attains v, since the table holds the chain with the same sums.  Weigh
+    P-arcs P - v, Q-arcs Q and the end lhs - v o: a walk of k P-arcs reaches
+    its family when its weight, so shifted, is at least 0.  The rounding
+    band is tau = 8 eps (p+2)^2 M, with M the largest of 1, |v| (p+1) and
+    the finite |P|, |Q|, |rhs| and |lhs|.  Every walk with a Q-arc, cut
+    right after its first Q-arc, ends in a cell Q P^k rhs, k < p, with k
+    P-arcs and k + 1 arcs in all.  Three tiers, cheapest first, look for a
+    certificate that no such walk reaches its family:
 
-        U[0] = lhs - v o,    U[r] = U[r-1] + U[r-1] max(P - v, Q)  (max-plus),
+    1. The chain bound, no product.  Entry j of Q P^k rhs is at most
+       max chain[k] + max Q; each of the at most p - 1 - k arcs after it
+       weighs at most h = max(0, max P - v, max Q) shifted, and the end at
+       most max(lhs - v o).  The table is certified when, for every family
+       and every k < p,
 
-    and tau = 8 eps (p+2)^2 M, with M the largest of 1, |v| (p+1) and the
-    finite |P|, |Q|, |rhs| and |lhs|.  A cell e of k P-arcs and s arcs in all
-    passes the row test for a family when
+           B[k] = (max chain[k] + max Q) + max(lhs - v o) + (p-1-k) h < v k - tau.
 
-        max_j fl(e_j + U[p-s]_j) >= v k - tau.
+       On ``random_scale_instance`` every stage-two table is certified here.
+    2. One product.  U[r] bounds every completion of at most r further
+       arcs, in the shifted weights:
 
-    Certificate.  Every walk with a Q-arc, cut right after its first Q-arc,
-    ends in a cell Q P^k rhs, k < p; one product of the chain's first p
-    cells with Q^T gives them all.  When each of them fails the row test
-    for every family, no walk with a Q-arc reaches its family, and the
-    chain's families are the result, with no anti-diagonal product (on
-    ``random_scale_instance`` every stage-two table is certified).
-    Otherwise the fill is pruned: row k of anti-diagonal s - 1, the cell
-    T[k, s-1-k] . rhs, goes into the product for anti-diagonal s only when
-    it passes the row test for some family, and rows left out are the zero
-    element in the next anti-diagonal.  A family with no finite pure-P walk
-    (v the zero element) bounds nothing, and then every row is kept.  The
-    pruned fill is taken at any p: with the chain and the completions paid,
-    it costs about what the full fill does on tables it does not certify.
+           U[0] = lhs - v o,    U[r] = U[r-1] + U[r-1] max(P - v, Q)  (max-plus),
+
+       and a cell e of k P-arcs and s arcs in all passes the row test for a
+       family when
+
+           max_j fl(e_j + U[p-s]_j) >= v k - tau.
+
+       One product of the chain's first p cells with Q^T gives every cell
+       Q P^k rhs, and the table is certified when each of them fails the
+       row test for every family.  Tier 1 replaces the cell and U by their
+       largest entries, so it certifies fewer tables: on small
+       ``random_feasible_instance`` tables about a third of these.
+    3. The pruned fill.  Row k of anti-diagonal s - 1, the cell
+       T[k, s-1-k] . rhs, goes into the product for anti-diagonal s only
+       when it passes the row test for some family, and rows left out are
+       the zero element in the next anti-diagonal.  A family with no finite
+       pure-P walk (v the zero element) bounds nothing: no tier certifies,
+       and every row is kept.  The pruned fill is taken at any p: with the
+       chain and the completions paid, it costs about what the full fill
+       does on tables it does not certify.
+
+    A certified table returns the chain's families, with no anti-diagonal
+    product.
 
     Why the certified and the pruned families are the full fill's to the
     bit.  Each float of the table is the max over its walks of the walk's
@@ -195,13 +221,28 @@ def form_families(
     (n >= 3) of rounding against it, against a band of tau = 16 n^2 u M that
     also covers the second-order terms: W survives whole, and a walk with a
     Q-arc that attains its family passes the test at the cell after its
-    first Q-arc.  A row is dropped, or a table certified, only when no walk
-    through it reaches v, so every dropped walk lies strictly below the
-    family and can neither win nor tie the rounded max; the winning walk's
-    sum is the full fill's own float.  The band is relative to M, which is
-    what makes this hold at any magnitude: an absolute band, such as 1e-9
-    of the data's spread, is below one ulp of 1e9-shifted sums and drops
-    the winning walk there.
+    first Q-arc.
+
+    The chain bound needs no float U.  Let W have a Q-arc, k P-arcs before
+    its first one.  In exact arithmetic w - v (K+o) + v k is at most B[k]
+    with W's exact prefix in place of max chain[k]: each later arc and the
+    end are at most what B counts for them, and h >= 0 covers the arcs W
+    does not take.  max chain[k] is at least W's float prefix, within n^2 u M
+    of the exact one.  The rest of B is rounded in max P - v and lhs - v o
+    (at most 2u M each, the first counted p - 1 - k times), in the product
+    by p - 1 - k (at most 2 (p-1-k) u M), in three additions of sizes at
+    most (k+2) M, (k+4) M and (2p+2-k) M, and in v k - tau (2u M): at most
+    7n u M in all.  So W's B[k] is at least v k - tau with at most
+    (2 n^2 + 9 n) u M <= 5 n^2 u M (n >= 3) of rounding against it, inside
+    the 6 n^2 u M the band was sized for: tau does not move.
+
+    A row is dropped, or a table certified, only when no walk through it
+    reaches v, so every dropped walk lies strictly below the family and can
+    neither win nor tie the rounded max; the winning walk's sum is the full
+    fill's own float.  The band is relative to M, which is what makes this
+    hold at any magnitude: an absolute band, such as 1e-9 of the data's
+    spread, is below one ulp of 1e9-shifted sums and drops the winning walk
+    there.
     """
     d = _check_pair(p_mat, q_mat)
     if p < 1:
@@ -220,11 +261,12 @@ def form_families(
         values = (ends[:, :, None] + columns).max(axis=1)
         return [_rooted_join(row, o) for row, o in zip(values, offsets)]
 
-    # chain[k] = P^k rhs, one row reduction per power.
+    # chain[k] = P^k rhs, one reduction over the leading axis of P^T per power.
+    p_t = p_mat.raw.T.copy()
     chain = np.empty((p + 1, d))
     chain[0] = rhs.raw[:, 0]
     for k in range(1, p + 1):
-        chain[k] = (p_mat.raw + chain[k - 1]).max(axis=1)
+        chain[k] = (p_t + chain[k - 1][:, None]).max(axis=0)
     lows = rooted(chain.T)
     if q_mat.is_zero_matrix():
         return lows
@@ -237,23 +279,34 @@ def form_families(
         np.maximum(size, np.maximum(data, _finite_abs_max(ends, axis=1)), out=size)
         tau = _TAU_UNIT * (p + 2) ** 2 * np.maximum(size, 1.0)
         limits = v[:, None] * np.arange(p) - tau[:, None]
-        # U[r] = U[r-1] (I + max(P - v, Q)): one batched product per step.
+        tails = ends - (v * offsets)[:, None]  # lhs - v o
+        # Tier 1, the chain bound B[i, k]: the cell Q P^k rhs is at most
+        # max chain[k] + max Q, each of the p - 1 - k arcs after it at most
+        # h = max(0, max P - v, max Q) and the end max(lhs - v o).
+        q_top = q_mat.raw.max()
+        h = np.maximum(p_mat.raw.max() - v, max(q_top, 0.0))
+        bound = (chain[:p].max(axis=1) + q_top) + tails.max(axis=1)[:, None]
+        bound += np.arange(p - 1, -1, -1) * h[:, None]
+        if (bound < limits).all():
+            return lows
+        # Tier 2.  U[r] = U[r-1] (I + max(P - v, Q)): one batched product per step.
         hops = np.empty((len(forms), d, d))
         np.maximum(p_mat.raw - v[:, None, None], q_mat.raw, out=hops)
         loops = hops.reshape(len(forms), d * d)[:, :: d + 1]  # diagonals, a view
         np.maximum(loops, 0.0, out=loops)
         completions = np.empty((p + 1, len(forms), d))
-        completions[0] = ends - (v * offsets)[:, None]
+        completions[0] = tails
         for r in range(1, p + 1):
             completions[r] = (completions[r - 1][:, :, None] + hops).max(axis=1)
-        # The certificate: row k of first_q is Q P^k rhs, k P-arcs and k + 1
-        # arcs in all, so its completions are U[p-1-k].
+        # The product certificate: row k of first_q is Q P^k rhs, k P-arcs and
+        # k + 1 arcs in all, so its completions are U[p-1-k].
         first_q = mat_mul(TropMatrix._wrap(chain[:p]), TropMatrix._wrap(q_mat.raw.T.copy()))
         reach = (first_q.raw[:, None] + completions[p - 1 :: -1]).max(axis=2)
         if (reach < limits.T).all():
             return lows
 
-    # [P; Q]^T in row-major order, so the product's inner axis is contiguous.
+    # Tier 3.  [P; Q]^T in row-major order, so the product's inner axis is
+    # contiguous.
     pq_t = TropMatrix._wrap(np.vstack((p_mat.raw, q_mat.raw)).T.copy())
     # Once anti-diagonal s is filled, rows 0..s of diag hold e[k, s-k].
     diag = np.empty((p + 1, d))

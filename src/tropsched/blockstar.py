@@ -60,7 +60,11 @@ class SkewBlock:
 def _from_blocks(
     ul: TropMatrix, ur: TropMatrix, ll: TropMatrix, lr: TropMatrix
 ) -> TropMatrix:
-    return TropMatrix._wrap(np.block([[ul.raw, ur.raw], [ll.raw, lr.raw]]))
+    p, q = ur.shape
+    out = np.empty((p + q, p + q))
+    out[:p, :p], out[:p, p:] = ul.raw, ur.raw
+    out[p:, :p], out[p:, p:] = ll.raw, lr.raw
+    return TropMatrix._wrap(out)
 
 
 def assemble(sb: SkewBlock) -> TropMatrix:

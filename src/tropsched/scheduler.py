@@ -349,10 +349,12 @@ def eta_term_families(
     two vector tables of the (k, l) triangle, on (R, S, g) and on (P, Q, q),
     each one call to ``binomial.form_families`` at order min(m, n).  That
     routine also chooses how to fill the table: the plain P-chain when Q is
-    all zero or when one product certifies that no walk with a Q-arc
-    reaches a family (every table of ``random_scale_instance``), else the
-    rows that can still reach a family, or the whole triangle for a family
-    with no pure-P walk.  Every choice gives the same families to the bit.
+    all zero or when a certificate shows that no walk with a Q-arc reaches
+    a family, either a bound from the chain's largest entries with no
+    product (every table of ``random_scale_instance``) or else one product;
+    otherwise the rows that can still reach a family, or the whole triangle
+    for a family with no pure-P walk.  Every choice gives the same families
+    to the bit.
 
     Requires a passing stage-two condition (``check_stage2_feasibility``):
     when that star diverged, StarDiverges is raised with its trace value.

@@ -636,6 +636,29 @@ def test_solve_calls_each_traced_phase_once(monkeypatch):
     assert calls == dict.fromkeys(names, 1)
 
 
+@pytest.mark.parametrize("m,n", [(40, 40), (10, 100), (100, 10)])
+def test_solve_product_budget(monkeypatch, m, n):
+    # Every max-plus product of one feasible solve, from whichever module
+    # calls it: 6 in the two coupled skew stars, 3 skew block products, 4
+    # for the two stages' P and R, 1 for stage two's closure times its arcs
+    # and 15 with a vector operand.  Both stage-two form tables are
+    # certified by the chain bound, with no product.  A change that adds a
+    # product has to update this budget.
+    real = linalg.mat_mul
+    calls = []
+
+    def counting(a, b):
+        calls.append((a.shape, b.shape))
+        return real(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tropsched") and getattr(module, "mat_mul", None) is real:
+            monkeypatch.setattr(module, "mat_mul", counting)
+    inst = random_scale_instance(np.random.default_rng(0), m, n)
+    assert ts.solve(inst).status == "optimal"
+    assert len(calls) == 29
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=InternalConsistency,
