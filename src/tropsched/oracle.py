@@ -19,16 +19,26 @@ to per-coordinate bounds are scored as an exact penalty, and the search
 certifies afterwards that the returned point actually satisfies them; see
 the grid-search constants below.
 
-The grid is evaluated in column layout: a block of N start vectors is an
-(n, N) array, and every max-plus sum broadcasts the lags, stored as
-(n, rows, 1), against it and reduces over axis 0.  n is small (the oracle
-is for tiny instances) and N is the long axis, so each reduction runs
-over whole contiguous rows of N points, and a block costs a fixed handful
-of NumPy calls however many points it holds.  The due-date caps of D
-and B are merged into one matrix, which is exact because rounding is
-monotone (see _StageEvaluator).  Blocks hold at most _GRID_CHUNK points,
-and the search does not depend on where they are cut: points come in one
-fixed order and an incumbent is only replaced by a strictly better score.
+The grid is evaluated in column layout, a block at a time.  A block is
+the product of a lead, M start vectors over the first n - 1 coordinates
+as an (n - 1, M) array, with L values of the last coordinate.  Both
+objectives are max-plus forms (a lateness is max_j (a_ij + x_j) - y_i and
+a due-date cap min_j (d_ij + x_j)), so the join over the lead coordinates
+is the same for all L points that share a lead point.  The evaluator
+joins the lead's sums once per lead point, broadcasting the lags against
+the lead and reducing over the short worker axis with the point axis
+contiguous; one broadcast max (a min for the caps) then meets that join
+with the last axis' terms, in C order.  A point costs about
+(rows + m)(1 + (n - 1) / L) sums instead of n (rows + m), and a block a
+fixed handful of NumPy calls however many points it holds.  The maxima
+and minima are exact and taken over the coordinates in the same order,
+so every value is bit for bit that of the per-point sums.  Single start
+vectors (the returned point's check, its due dates) are the same call
+with no last axis.  The due-date caps of D and B are merged into one
+matrix, which is exact because rounding is monotone (see
+_StageEvaluator).  Blocks hold at most _GRID_CHUNK points, and the search
+does not depend on where they are cut: points come in one fixed order and
+an incumbent is only replaced by a strictly better score.
 """
 
 from __future__ import annotations
@@ -138,9 +148,13 @@ _MAX_EVALUATIONS = 1e8
 # success when it is negligible, so a too-small penalty or an empty region
 # shows up as `found = False`, never as a wrong value.
 _PENALTY = 100.0
-# Grid points per block.  A block's largest temporary holds n * 2m * 4096
-# floats (1 MiB at 4 x 4), and a refinement window (at most 5 points per
-# axis) fits in one block up to n = 5.
+# Grid points per block.  A refinement window re-grids two old steps on
+# each side of the incumbent at the halved step, so it has up to 9 points
+# per axis, and a 4-axis window (up to 9^4 = 6561 points) spans two blocks.
+# At 4 x 4 in stage two a block's temporaries hold at most 0.56 MiB: the
+# lead's terms, (n - 1) * 3m * 4096 / L floats for a last axis of L >= 2
+# points, and 2m * 4096 for the points' rows.  A one-point last axis joins
+# the lead, whose terms then hold n * 3m * 4096 floats (1.5 MiB).
 _GRID_CHUNK = 4096
 
 
@@ -173,45 +187,69 @@ def _grid_exceeds(lo: np.ndarray, hi: np.ndarray, step: float, limit: float) -> 
     return False
 
 
-def _iter_grid(lo: np.ndarray, hi: np.ndarray, step: float) -> Iterator[np.ndarray]:
-    """The grid on the box [lo, hi] as (dims, N) blocks of column points.
-
-    Points come in C order (the last axis varies fastest) and blocks hold
-    at most _GRID_CHUNK of them.  A grid that fits in one block is built
-    by broadcasting the axes; a larger one is cut into consecutive runs of
-    flat indices.
-    """
-    axes = [_axis_points(float(a), float(b), step) for a, b in zip(lo, hi)]
+def _lead_columns(axes: list[np.ndarray], start: int, stop: int) -> np.ndarray:
+    # Points start..stop-1, in C order, of the product of the axes as
+    # (len(axes), stop - start) columns.  No axes give one empty point.
     shape = tuple(len(ax) for ax in axes)
-    dims, total = len(axes), math.prod(shape)
-    if total <= _GRID_CHUNK:
+    dims = len(axes)
+    if stop - start == math.prod(shape):
         block = np.empty((dims, *shape))
         for d, points in enumerate(axes):
             block[d] = points.reshape((-1,) + (1,) * (dims - d - 1))
-        yield block.reshape(dims, total)
-        return
-    for start in range(0, total, _GRID_CHUNK):
-        idx = np.unravel_index(np.arange(start, min(total, start + _GRID_CHUNK)), shape)
-        yield np.stack([ax[i] for ax, i in zip(axes, idx)])
+        return block.reshape(dims, stop - start)
+    idx = np.unravel_index(np.arange(start, stop), shape)
+    return np.stack([ax[i] for ax, i in zip(axes, idx)])
+
+
+def _iter_grid(
+    lo: list[float], hi: list[float], step: float
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """The grid on the box [lo, hi] as (lead, last) blocks.
+
+    A block is the product of lead, the first dims - 1 coordinates as
+    (dims - 1, M) columns, with last, a run of L points of the last axis;
+    _StageEvaluator.evaluate takes it as is.  A one-point last axis joins
+    the lead (last is None).  Points come in C order (the last axis
+    varies fastest) and blocks hold at most _GRID_CHUNK of them: runs of
+    lead points times the whole last axis, or one lead point times a run
+    of the last axis when that axis alone is longer.
+    """
+    axes = [_axis_points(a, b, step) for a, b in zip(lo, hi)]
+    last = axes.pop()
+    if len(last) == 1:
+        axes.append(last)
+        last = None
+    width = 1 if last is None else min(len(last), _GRID_CHUNK)
+    size = max(1, _GRID_CHUNK // width)
+    total = math.prod(len(ax) for ax in axes)
+    for start in range(0, total, size):
+        lead = _lead_columns(axes, start, min(total, start + size))
+        if last is None:
+            yield lead, None
+        else:
+            for cut in range(0, len(last), width):
+                yield lead, last[cut : cut + width]
 
 
 class _StageEvaluator:
-    """Vectorised objective/feasibility for blocks of start-time columns.
+    """Vectorised objective/feasibility on grid blocks of start times.
 
-    Lags are stored as (n, rows, 1) so that a (n, N) block of start points
-    broadcasts to (n, rows, N) and the max-plus sums reduce over axis 0,
-    the short worker axis, with the long point axis contiguous; what is
-    left are row operations on (rows, N).  The due-date caps from D and
-    (in stage two) B are merged into one matrix min(D, B), +inf for absent
+    A block is a lead of start columns times a run of the last coordinate
+    (see evaluate).  The lags and the due-date caps are stacked per worker
+    as (n, rows + m, 1, 1), so that one broadcast sum per part gives every
+    max-plus term: (n - 1, rows + m, M, 1) for the lead's M columns, the
+    short worker axis first and the point axis contiguous, and
+    (rows + m, 1, L) for the last axis.  The due-date caps from D and (in
+    stage two) B are merged into one matrix min(D, B), +inf for absent
     lags.  That is exact: rounding is monotone, so
     min(fl(a + s), fl(b + s)) == fl(min(a, b) + s).  The objective lags and
-    the coupled lags C - mu of stage two share one stacked block.
+    the coupled lags C - mu of stage two share the lag rows.
     """
 
     def __init__(self, inst: ProblemInstance, mu: float | None):
         self.m = inst.m
-        self.q = inst.q.raw[:, 0]
-        self.r = inst.r.raw[:, 0]
+        self.q = inst.q.raw
+        self.r = inst.r.raw[:, :, None]
         self.h = inst.h.raw[:, 0]
         caps = np.where(np.isfinite(inst.D.raw), inst.D.raw, np.inf)
         if mu is None:
@@ -220,42 +258,84 @@ class _StageEvaluator:
             caps = np.minimum(caps, np.where(np.isfinite(inst.B.raw), inst.B.raw, np.inf))
             # Objective lags A, then the coupled lags (-inf entries stay -inf).
             lags = np.vstack([inst.A.raw, inst.C.raw - mu])
-        self.caps = caps.T[:, :, None]
-        self.lags = lags.T[:, :, None]
+        self.rows = len(lags)
+        self.terms = np.vstack([lags, caps]).T[:, :, None, None]
+        self.lead_terms, self.last_terms = self.terms[:-1], self.terms[-1]
         # Necessary per-coordinate lower bounds on start times: every
         # finite lag must leave room for the earliest finish time q (an
         # absent lag's +inf cap contributes -inf).
-        self.start_lower = np.maximum(inst.g.raw[:, 0], (self.q[:, None] - caps).max(axis=0))
+        self.start_lower = np.maximum(inst.g.raw[:, 0], (self.q - caps).max(axis=0))
 
     def box(self) -> tuple[np.ndarray, np.ndarray]:
         return self.start_lower, self.h
 
     def box_feasible(self) -> bool:
-        if not (self.q <= self.r + _FEAS_SLACK).all():
+        if not (self.q <= self.r[:, :, 0] + _FEAS_SLACK).all():
             return False
         return bool((self.start_lower <= self.h + _FEAS_SLACK).all())
 
-    def _due_caps(self, starts: np.ndarray) -> np.ndarray:
-        # The largest admissible due dates (m x N) for start columns (n x N).
-        return np.minimum((self.caps + starts[:, None, :]).min(axis=0), self.r[:, None])
+    def _join(
+        self, lead: np.ndarray, last: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # The lagged maxima (rows x P) and the largest admissible due dates
+        # (m x P) at the P points lead x last, in C order.  Each is one
+        # exact max (or min) over d = 0..n-1 in that order: the lead's terms
+        # are joined once per lead point (one lead coordinate needs no
+        # reduction), and that join meets the last axis' terms in one
+        # broadcast.  NumPy's maximum and minimum return their second
+        # argument on ties (which decides the sign of a zero result), as the
+        # reductions do at each step, so regrouping the sequence changes no
+        # bit.  r closes the sequence of caps, so it meets the last axis'
+        # terms, before the broadcast.
+        rows = self.rows
+        if len(lead):
+            terms = self.terms if last is None else self.lead_terms
+            sums = terms + lead[:, None, :, None]
+            if len(sums) == 1:
+                lagged, capped = sums[0, :rows], sums[0, rows:]
+            else:
+                lagged = np.maximum.reduce(sums[:, :rows], axis=0)
+                capped = np.minimum.reduce(sums[:, rows:], axis=0)
+        if last is None:
+            capped = np.minimum(capped, self.r)
+        else:
+            sums = self.last_terms + last
+            capped_last = np.minimum(sums[rows:], self.r)
+            if len(lead):
+                lagged = np.maximum(lagged, sums[:rows])
+                capped = np.minimum(capped, capped_last)
+            else:
+                lagged, capped = sums[:rows], capped_last
+        return lagged.reshape(rows, -1), capped.reshape(self.m, -1)
 
-    def evaluate(self, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(objective, violation) for a block of start columns (n x N).
+    def evaluate(
+        self, lead: np.ndarray, last: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(objective, violation) at the points lead x last, in C order.
 
-        The violation is how far the due-date lower bounds exceed their
-        caps; zero means the point is feasible.
+        lead holds start columns: all n coordinates (n x N) when last is
+        None, else the first n - 1 (n - 1 x M) with last the L values of
+        the last coordinate, for M * L points.  The violation is how far
+        the due-date lower bounds exceed their caps; zero means the point
+        is feasible.
         """
-        due_cap = self._due_caps(starts)
-        lagged = (self.lags + starts[:, None, :]).max(axis=0)
-        due_low = self.q[:, None]
-        if len(lagged) > self.m:
-            due_low = np.maximum(due_low, lagged[self.m :])
-        violation = np.maximum(due_low - due_cap, 0.0).max(axis=0)
-        objective = (lagged[: self.m] - due_cap).max(axis=0)
-        return objective, violation
+        lagged, due_cap = self._join(lead, last)
+        m = self.m
+        if self.rows == m:
+            objective = np.maximum.reduce(lagged - due_cap, axis=0)
+            excess = np.maximum.reduce(self.q - due_cap, axis=0)
+        else:
+            # Stage two: the coupled rows, joined with q, are the due dates'
+            # lower bounds.  Both row blocks meet the caps in one subtraction.
+            coupled = lagged[m:]
+            np.maximum(self.q, coupled, out=coupled)
+            objective, excess = np.maximum.reduce(lagged.reshape(2, m, -1) - due_cap, axis=1)
+        # max_i max(x_i, 0) as max(max_i x_i, 0): the same bits, because
+        # equal positive values are equal floats and ties keep the 0.0.
+        return objective, np.maximum(excess, 0.0)
 
     def due_dates(self, start: np.ndarray) -> np.ndarray:
-        return self._due_caps(start[:, None])[:, 0]
+        return self._join(start[:, None], None)[1][:, 0]
 
 
 def _refined_search(
@@ -268,29 +348,40 @@ def _refined_search(
     if _grid_exceeds(lo, hi, _INITIAL_STEP, _MAX_EVALUATIONS):
         raise GridTooLarge(f"initial grid would exceed {_MAX_EVALUATIONS:g} evaluations")
 
-    best_score = np.inf
-    best_pt: np.ndarray | None = None
+    # The windows and the incumbent are lists of Python floats, so a round's
+    # bookkeeping is a few scalar operations per axis.  A window bound is
+    # replaced by the box's only where the box is strictly tighter, so on a
+    # tie a zero bound keeps its sign (np.maximum(lo, bound) also returns
+    # the bound on ties).
+    lo, hi = lo.tolist(), hi.tolist()
+    best_score = math.inf
+    best_pt: list[float] | None = None
     step = _INITIAL_STEP
     history: list[float] = []
     win_lo, win_hi = lo, hi
     for _ in range(_REFINEMENT_ROUNDS + 1):
-        for block in _iter_grid(win_lo, win_hi, step):
-            objective, violation = ev.evaluate(block)
+        for lead, last in _iter_grid(win_lo, win_hi, step):
+            objective, violation = ev.evaluate(lead, last)
             score = objective + _PENALTY * violation
             i = int(score.argmin())
             if score[i] < best_score:
                 best_score = float(score[i])
-                best_pt = block[:, i].copy()
+                if last is None:
+                    best_pt = lead[:, i].tolist()
+                else:
+                    k, j = divmod(i, len(last))
+                    best_pt = lead[:, k].tolist() + [float(last[j])]
         history.append(best_score)
-        win_lo = np.maximum(lo, best_pt - 2.0 * step)
-        win_hi = np.minimum(hi, best_pt + 2.0 * step)
+        win_lo = [a if a > (v := x - 2.0 * step) else v for a, x in zip(lo, best_pt)]
+        win_hi = [b if b < (v := x + 2.0 * step) else v for b, x in zip(hi, best_pt)]
         step /= 2.0
-    objective, violation = ev.evaluate(best_pt[:, None])
+    pt = np.array(best_pt)
+    objective, violation = ev.evaluate(pt[:, None])
     if float(violation[0]) > max(1e-6, 8.0 * step):
         # The penalised search could not reach the constrained region: it
         # is empty (or the penalty weight is too small for this instance).
         return False, np.inf, None, history
-    return True, float(objective[0]), best_pt, history
+    return True, float(objective[0]), pt, history
 
 
 def _grid_search(ev: _StageEvaluator) -> GridSearchResult:

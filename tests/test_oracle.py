@@ -171,23 +171,48 @@ def _holey_instance(rng, m, n):
     )
 
 
+def _signed_zeros(inst, rng):
+    # About half of the zero entries of the lags, q and r turned into -0.0.
+    def flip(raw):
+        return np.where((raw == 0.0) & (rng.random(raw.shape) < 0.5), -0.0, raw)
+
+    mats = {name: TropMatrix(flip(getattr(inst, name).raw)) for name in "ABCDqr"}
+    return ts.ProblemInstance(m=inst.m, n=inst.n, g=inst.g, h=inst.h, **mats)
+
+
+# The references join terms one at a time, and a term equal to the running
+# value replaces it, as NumPy's maximum and minimum keep their second
+# argument on ties: of a +0.0 and a -0.0 the later one is kept.
+def _join_max(acc, term):
+    return term if term >= acc else acc
+
+
+def _join_min(acc, term):
+    return term if term <= acc else acc
+
+
 def _reference_point(inst, mu, start):
-    """Objective, violation and due dates at one start vector, entry by entry."""
+    """Objective, violation and due dates at one start vector, entry by entry.
+
+    A due-date cap joins the lagged starts and then r; a coupled lower bound
+    joins q and then the lagged starts.
+    """
     objective, violation, due = NEG_INF, 0.0, []
     obj_lags = inst.C.raw if mu is None else inst.A.raw
     caps = [inst.D.raw] if mu is None else [inst.D.raw, inst.B.raw]
     for i in range(inst.m):
-        cap, low, finish = inst.r.raw[i, 0], inst.q.raw[i, 0], NEG_INF
+        cap, low, finish = math.inf, inst.q.raw[i, 0], NEG_INF
         for j in range(inst.n):
             for lags in caps:
                 if math.isfinite(lags[i, j]):
-                    cap = min(cap, lags[i, j] + start[j])
+                    cap = _join_min(cap, lags[i, j] + start[j])
             if mu is not None and math.isfinite(inst.C.raw[i, j]):
-                low = max(low, (inst.C.raw[i, j] - mu) + start[j])
+                low = _join_max(low, (inst.C.raw[i, j] - mu) + start[j])
             if math.isfinite(obj_lags[i, j]):
-                finish = max(finish, obj_lags[i, j] + start[j])
-        objective = max(objective, finish - cap)
-        violation = max(violation, low - cap)
+                finish = _join_max(finish, obj_lags[i, j] + start[j])
+        cap = _join_min(cap, inst.r.raw[i, 0])
+        objective = _join_max(objective, finish - cap)
+        violation = _join_max(violation, _join_max(low - cap, 0.0))
         due.append(cap)
     return objective, violation, due
 
@@ -196,12 +221,12 @@ def _reference_start_lower(inst, mu):
     caps = [inst.D.raw] if mu is None else [inst.D.raw, inst.B.raw]
     lower = []
     for j in range(inst.n):
-        lo = inst.g.raw[j, 0]
-        for lags in caps:
-            for i in range(inst.m):
+        lo = NEG_INF
+        for i in range(inst.m):
+            for lags in caps:
                 if math.isfinite(lags[i, j]):
-                    lo = max(lo, inst.q.raw[i, 0] - lags[i, j])
-        lower.append(lo)
+                    lo = _join_max(lo, inst.q.raw[i, 0] - lags[i, j])
+        lower.append(_join_max(inst.g.raw[j, 0], lo))
     return lower
 
 
@@ -209,40 +234,127 @@ def _hex(values):
     return [float(x).hex() for x in values]
 
 
-def test_evaluator_matches_reference_loop(rng):
-    from tropsched.oracle import _StageEvaluator
+def _zero_heavy_instance(rng, m, n):
+    # Lags in {-1, -0.0, 0.0, 1} (B and D with holes) and signed zeros for
+    # q and r: most joins and differences are ties between zeros of both
+    # signs.
+    lags = np.array([-1.0, -0.0, 0.0, 1.0, NEG_INF])
+    zeros = np.array([-0.0, 0.0])
+    return ts.ProblemInstance(
+        m=m,
+        n=n,
+        **{name: TropMatrix(rng.choice(lags[:4], (m, n))) for name in "AC"},
+        **{name: TropMatrix(rng.choice(lags, (m, n))) for name in "BD"},
+        g=TropMatrix.column(np.full(n, -1.0)),
+        h=TropMatrix.column(np.ones(n)),
+        q=TropMatrix.column(rng.choice(zeros, m)),
+        r=TropMatrix.column(rng.choice(zeros, m)),
+    )
 
-    shapes = [(1, 1), (1, 3), (3, 1), (2, 2), (2, 4), (4, 3)]
+
+def _evaluator_cases(rng, shapes):
+    # (instance, start columns, scale, shift): integer data with holes (-inf
+    # lags, so +inf due-date caps), as thirds and as thirds shifted by 1e9,
+    # with signed zeros in the lags, q, r and starts of every other draw;
+    # then zero-heavy instances.
     for m, n in shapes:
-        for _ in range(8):
+        for draw in range(8):
             base = _holey_instance(rng, m, n)
             for scale, shift in ((1, 0.0), (3, 0.0), (3, 1e9)):
                 inst = _shifted(base, scale, shift)
                 starts = rng.integers(-12, 13, (n, 20)) / scale + shift
-                for mu in (None, float(rng.integers(-6, 7)) / scale):
-                    ev = _StageEvaluator(inst, mu)
-                    assert _hex(ev.start_lower) == _hex(_reference_start_lower(inst, mu))
-                    objective, violation = ev.evaluate(starts)
-                    for k in range(starts.shape[1]):
-                        ref_obj, ref_viol, ref_due = _reference_point(inst, mu, starts[:, k])
-                        assert _hex([objective[k], violation[k]]) == _hex([ref_obj, ref_viol])
-                        assert _hex(ev.due_dates(starts[:, k])) == _hex(ref_due)
+                if shift == 0.0 and draw % 2:
+                    inst = _signed_zeros(inst, rng)
+                    starts[(starts == 0.0) & (rng.random(starts.shape) < 0.5)] = -0.0
+                yield inst, starts, scale, shift
+        for _ in range(4):
+            starts = rng.choice([-1.0, -0.0, 0.0, 1.0], (n, 20))
+            yield _zero_heavy_instance(rng, m, n), starts, 1, 0.0
+
+
+def _assert_block_matches(inst, mu, ev, lead, last):
+    # Every point of the block lead x last, in C order, against the
+    # reference: objective, violation and due-date caps.  Returns the caps.
+    objective, violation = ev.evaluate(lead, last)
+    due_cap = ev._join(lead, last)[1]
+    tails = [[]] if last is None else [[x] for x in last.tolist()]
+    points = [col + tail for col in lead.T.tolist() for tail in tails]
+    assert objective.shape == violation.shape == (len(points),)
+    dues = []
+    for k, start in enumerate(points):
+        ref_obj, ref_viol, ref_due = _reference_point(inst, mu, start)
+        assert _hex([objective[k], violation[k]]) == _hex([ref_obj, ref_viol])
+        assert _hex(due_cap[:, k]) == _hex(ref_due)
+        dues.extend(ref_due)
+    return dues
+
+
+def test_evaluator_matches_reference_loop(rng, monkeypatch):
+    # Start columns, (lead, last) blocks with L = 5 and L = 1, an empty lead
+    # (n = 1), and the blocks of a grid cut into 7-point chunks whose first
+    # axis starts at a signed zero.
+    from tropsched import oracle
+    from tropsched.oracle import _StageEvaluator
+
+    monkeypatch.setattr(oracle, "_GRID_CHUNK", 7)
+    zero_dues = set()
+    shapes = [(1, 1), (1, 3), (3, 1), (2, 2), (2, 4), (4, 3)]
+    for inst, starts, scale, shift in _evaluator_cases(rng, shapes):
+        n = inst.n
+        for mu in (None, float(rng.integers(-6, 7)) / scale):
+            ev = _StageEvaluator(inst, mu)
+            assert _hex(ev.start_lower) == _hex(_reference_start_lower(inst, mu))
+            dues = _assert_block_matches(inst, mu, ev, starts, None)
+            for k in range(starts.shape[1]):
+                start = starts[:, k]
+                assert _hex(ev.due_dates(start)) == _hex(_reference_point(inst, mu, start)[2])
+            for width in (5, 1):
+                # With n = 1 the lead is one point of no coordinates.
+                lead = starts[:-1, : 4 if n > 1 else 1]
+                last = starts[-1, 4 : 4 + width]
+                dues += _assert_block_matches(inst, mu, ev, lead, last)
+            lo = [-0.0 if shift == 0.0 else shift] + starts[1:, 0].tolist()
+            hi = [a + b / scale for a, b in zip(lo, rng.integers(0, 3, n))]
+            for lead, last in oracle._iter_grid(lo, hi, 0.5 / scale):
+                dues += _assert_block_matches(inst, mu, ev, lead, last)
+            zero_dues.update(x.hex() for x in dues if x == 0.0)
+    # Due dates of both zero signs occurred, so ties decided a sign.
+    assert zero_dues == {"0x0.0p+0", "-0x0.0p+0"}
 
 
 # -- grid blocks ---------------------------------------------------------------
 
 
+def _block_points(blocks):
+    # The points of (lead, last) blocks, in block order, as rows.
+    rows = []
+    for lead, last in blocks:
+        tails = [[]] if last is None else [[x] for x in last.tolist()]
+        rows += [col + tail for col in lead.T.tolist() for tail in tails]
+    return rows
+
+
 def test_grid_blocks_enumerate_in_c_order(monkeypatch):
     from tropsched import oracle
 
-    lo, hi = np.array([0.0, -1.0, 2.0]), np.array([1.2, 1.0, 2.0])
-    axes = [oracle._axis_points(a, b, 0.5) for a, b in zip(lo, hi)]
-    expected = np.array(list(itertools.product(*axes))).T
-    for chunk in (oracle._GRID_CHUNK, 7, 1):
-        monkeypatch.setattr(oracle, "_GRID_CHUNK", chunk)
-        blocks = list(oracle._iter_grid(lo, hi, 0.5))
-        assert all(block.shape[1] <= chunk for block in blocks)
-        assert np.array_equal(np.concatenate(blocks, axis=1), expected)
+    boxes = [
+        ([0.0, -1.0, 2.0], [1.2, 1.0, 3.4]),  # last axis of L = 4 points
+        ([0.0, -1.0, 2.0], [1.2, 1.0, 2.0]),  # one-point last axis
+        ([-1.0], [1.7]),  # n = 1: an empty lead
+    ]
+    for lo, hi in boxes:
+        axes = [oracle._axis_points(a, b, 0.5) for a, b in zip(lo, hi)]
+        expected = [list(p) for p in itertools.product(*(ax.tolist() for ax in axes))]
+        width = len(axes[-1])
+        for chunk in (oracle._GRID_CHUNK, 7, 1, max(1, width - 1)):
+            monkeypatch.setattr(oracle, "_GRID_CHUNK", chunk)
+            blocks = list(oracle._iter_grid(lo, hi, 0.5))
+            for lead, last in blocks:
+                assert lead.shape[0] == len(lo) - (last is not None)
+                size = lead.shape[1] * (1 if last is None else len(last))
+                assert size <= chunk
+            assert (blocks[0][1] is None) == (width == 1)
+            assert _block_points(blocks) == expected
 
 
 def _oracle_bits(inst):
@@ -262,17 +374,31 @@ def _oracle_bits(inst):
 def test_grid_chunk_size_does_not_change_result(monkeypatch):
     # The enumeration order and the strict-< incumbent rule pick the
     # winner, so cutting the grid into blocks of any size gives the same
-    # search: blocks of 7 points split every grid of these instances.
+    # search: blocks of 7 points split every grid of the small instances,
+    # and blocks of 999 points the n = 5-6 windows (up to 15625 points).
     from tropsched import oracle
 
-    insts = [parse_instance(path) for path in FIXTURES.values()]
+    def bits(inst):
+        try:
+            return _oracle_bits(inst)
+        except GridTooLarge:
+            return "GridTooLarge"
+
+    small = [parse_instance(path) for path in FIXTURES.values()]
     rng = np.random.default_rng(1414)
     shapes = [(1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (3, 3), (1, 4), (4, 4)]
     for k, (m, n) in enumerate(shapes * 2):
         draw = (random_feasible_instance if k % 3 else random_instance)(rng, m, n)
-        insts.append(_shifted(draw, 3, 1e9 if k % 2 else 0.0))
-    default = [_oracle_bits(inst) for inst in insts]
-    assert sum(len(bits) for bits in default) > len(insts)  # some stage twos ran
-    for chunk in (7, 10**9):
-        monkeypatch.setattr(oracle, "_GRID_CHUNK", chunk)
-        assert [_oracle_bits(inst) for inst in insts] == default
+        small.append(_shifted(draw, 3, 1e9 if k % 2 else 0.0))
+    large = []
+    rng = np.random.default_rng(1415)
+    for k, (m, n) in enumerate([(5, 6), (6, 6)] * 3):
+        draw = (random_feasible_instance if k % 3 else random_instance)(rng, m, n)
+        large.append(_shifted(draw, 3, 1e9 if k % 2 else 0.0))
+    for insts, chunks in ((small, (7, 10**9)), (large, (999, 10**9))):
+        default = [bits(inst) for inst in insts]
+        assert sum(len(b) for b in default) > len(insts)  # some stage twos ran
+        for chunk in chunks:
+            monkeypatch.setattr(oracle, "_GRID_CHUNK", chunk)
+            assert [bits(inst) for inst in insts] == default
+        monkeypatch.setattr(oracle, "_GRID_CHUNK", oracle._GRID_CHUNK)
