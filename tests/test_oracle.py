@@ -272,13 +272,21 @@ def _evaluator_cases(rng, shapes):
             yield _zero_heavy_instance(rng, m, n), starts, 1, 0.0
 
 
+def _block_points(blocks):
+    # The points of (lead, last) blocks, in block order, as rows.
+    rows = []
+    for lead, last in blocks:
+        tails = [[]] if last is None else [[x] for x in last.tolist()]
+        rows += [col + tail for col in lead.T.tolist() for tail in tails]
+    return rows
+
+
 def _assert_block_matches(inst, mu, ev, lead, last):
     # Every point of the block lead x last, in C order, against the
     # reference: objective, violation and due-date caps.  Returns the caps.
     objective, violation = ev.evaluate(lead, last)
     due_cap = ev._join(lead, last)[1]
-    tails = [[]] if last is None else [[x] for x in last.tolist()]
-    points = [col + tail for col in lead.T.tolist() for tail in tails]
+    points = _block_points([(lead, last)])
     assert objective.shape == violation.shape == (len(points),)
     dues = []
     for k, start in enumerate(points):
@@ -323,15 +331,6 @@ def test_evaluator_matches_reference_loop(rng, monkeypatch):
 
 
 # -- grid blocks ---------------------------------------------------------------
-
-
-def _block_points(blocks):
-    # The points of (lead, last) blocks, in block order, as rows.
-    rows = []
-    for lead, last in blocks:
-        tails = [[]] if last is None else [[x] for x in last.tolist()]
-        rows += [col + tail for col in lead.T.tolist() for tail in tails]
-    return rows
 
 
 def test_grid_blocks_enumerate_in_c_order(monkeypatch):
