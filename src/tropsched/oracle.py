@@ -21,10 +21,11 @@ the grid-search constants below.
 
 The grid is evaluated in column layout, a block at a time.  A block is
 the product of a lead, M start vectors over the first n - 1 coordinates
-as an (n - 1, M) array, with L values of the last coordinate.  Both
-objectives are max-plus forms (a lateness is max_j (a_ij + x_j) - y_i and
-a due-date cap min_j (d_ij + x_j)), so the join over the lead coordinates
-is the same for all L points that share a lead point.  The evaluator
+as an (n - 1, M) array, with L values of the last coordinate (a
+one-point last axis gives blocks of L = 1).  Both objectives are max-plus
+forms (a lateness is max_j (a_ij + x_j) - y_i and a due-date cap
+min_j (d_ij + x_j)), so the join over the lead coordinates is the same
+for all L points that share a lead point.  The evaluator
 joins the lead's sums once per lead point, broadcasting the lags against
 the lead and reducing over the short worker axis with the point axis
 contiguous; one broadcast max (a min for the caps) then meets that join
@@ -32,13 +33,14 @@ with the last axis' terms, in C order.  A point costs about
 (rows + m)(1 + (n - 1) / L) sums instead of n (rows + m), and a block a
 fixed handful of NumPy calls however many points it holds.  The maxima
 and minima are exact and taken over the coordinates in the same order,
-so every value is bit for bit that of the per-point sums.  Single start
-vectors (the returned point's check, its due dates) are the same call
-with no last axis.  The due-date caps of D and B are merged into one
-matrix, which is exact because rounding is monotone (see
-_StageEvaluator).  Blocks hold at most _GRID_CHUNK points, and the search
-does not depend on where they are cut: points come in one fixed order and
-an incumbent is only replaced by a strictly better score.
+so every value is bit for bit that of the per-point sums.  The due-date
+caps of D and B are merged into one matrix, which is exact because
+rounding is monotone (see _StageEvaluator).  Blocks hold at most
+_GRID_CHUNK points, and the search does not depend on where they are cut:
+points come in one fixed order and an incumbent is only replaced by a
+strictly better score.  The search keeps the incumbent's objective,
+violation and due dates from the block that scored it, and certifies the
+returned point by that violation.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ _COMPOSITION_CAP = 6
 def naive_star(a: TropMatrix, terms: int | None = None) -> TropMatrix:
     """Kleene star as the literal truncated power sum I + A + ... + A^(r-1)."""
     tr = trace_function(a)
-    if tr.raw > 1e-9:
+    if tr.raw > _FEAS_SLACK:
         raise StarDiverges(f"star diverges: trace function value {tr.raw}", tr)
     r = a.rows if terms is None else terms
     out = TropMatrix.identity(a.rows)
@@ -151,10 +153,9 @@ _PENALTY = 100.0
 # Grid points per block.  A refinement window re-grids two old steps on
 # each side of the incumbent at the halved step, so it has up to 9 points
 # per axis, and a 4-axis window (up to 9^4 = 6561 points) spans two blocks.
-# At 4 x 4 in stage two a block's temporaries hold at most 0.56 MiB: the
-# lead's terms, (n - 1) * 3m * 4096 / L floats for a last axis of L >= 2
-# points, and 2m * 4096 for the points' rows.  A one-point last axis joins
-# the lead, whose terms then hold n * 3m * 4096 floats (1.5 MiB).
+# At 4 x 4 in stage two a block's temporaries hold the lead's terms,
+# (n - 1) * 3m * 4096 / L floats (at most 1.125 MiB, for L = 1), and
+# 2m * 4096 floats (0.25 MiB) for the points' rows.
 _GRID_CHUNK = 4096
 
 
@@ -177,14 +178,8 @@ def _axis_points(lo: float, hi: float, step: float) -> np.ndarray:
 
 def _grid_exceeds(lo: np.ndarray, hi: np.ndarray, step: float, limit: float) -> bool:
     # Whether the grid has more than limit points.  Every axis has at least
-    # two, so the running product only grows and stops once it passes the
-    # limit; the product over all axes can overflow float64.
-    count = 1.0
-    for points in (np.floor(np.maximum(hi - lo, 0.0) / step) + 2).tolist():
-        count *= points
-        if count > limit:
-            return True
-    return False
+    # two, so a product that overflows float64 to inf is still too large.
+    return math.prod((np.floor(np.maximum(hi - lo, 0.0) / step) + 2).tolist()) > limit
 
 
 def _lead_columns(axes: list[np.ndarray], start: int, stop: int) -> np.ndarray:
@@ -203,32 +198,25 @@ def _lead_columns(axes: list[np.ndarray], start: int, stop: int) -> np.ndarray:
 
 def _iter_grid(
     lo: list[float], hi: list[float], step: float
-) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The grid on the box [lo, hi] as (lead, last) blocks.
 
     A block is the product of lead, the first dims - 1 coordinates as
     (dims - 1, M) columns, with last, a run of L points of the last axis;
-    _StageEvaluator.evaluate takes it as is.  A one-point last axis joins
-    the lead (last is None).  Points come in C order (the last axis
-    varies fastest) and blocks hold at most _GRID_CHUNK of them: runs of
-    lead points times the whole last axis, or one lead point times a run
-    of the last axis when that axis alone is longer.
+    _StageEvaluator.evaluate takes it as is.  Points come in C order (the
+    last axis varies fastest) and blocks hold at most _GRID_CHUNK of them:
+    runs of lead points times the whole last axis, or one lead point times
+    a run of the last axis when that axis alone is longer.
     """
     axes = [_axis_points(a, b, step) for a, b in zip(lo, hi)]
     last = axes.pop()
-    if len(last) == 1:
-        axes.append(last)
-        last = None
-    width = 1 if last is None else min(len(last), _GRID_CHUNK)
-    size = max(1, _GRID_CHUNK // width)
+    width = min(len(last), _GRID_CHUNK)
+    size = _GRID_CHUNK // width
     total = math.prod(len(ax) for ax in axes)
     for start in range(0, total, size):
         lead = _lead_columns(axes, start, min(total, start + size))
-        if last is None:
-            yield lead, None
-        else:
-            for cut in range(0, len(last), width):
-                yield lead, last[cut : cut + width]
+        for cut in range(0, len(last), width):
+            yield lead, last[cut : cut + width]
 
 
 class _StageEvaluator:
@@ -259,8 +247,8 @@ class _StageEvaluator:
             # Objective lags A, then the coupled lags (-inf entries stay -inf).
             lags = np.vstack([inst.A.raw, inst.C.raw - mu])
         self.rows = len(lags)
-        self.terms = np.vstack([lags, caps]).T[:, :, None, None]
-        self.lead_terms, self.last_terms = self.terms[:-1], self.terms[-1]
+        terms = np.vstack([lags, caps]).T[:, :, None, None]
+        self.lead_terms, self.last_terms = terms[:-1], terms[-1]
         # Necessary per-coordinate lower bounds on start times: every
         # finite lag must leave room for the earliest finish time q (an
         # absent lag's +inf cap contributes -inf).
@@ -274,9 +262,7 @@ class _StageEvaluator:
             return False
         return bool((self.start_lower <= self.h + _FEAS_SLACK).all())
 
-    def _join(
-        self, lead: np.ndarray, last: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _join(self, lead: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # The lagged maxima (rows x P) and the largest admissible due dates
         # (m x P) at the P points lead x last, in C order.  Each is one
         # exact max (or min) over d = 0..n-1 in that order: the lead's terms
@@ -286,38 +272,35 @@ class _StageEvaluator:
         # argument on ties (which decides the sign of a zero result), as the
         # reductions do at each step, so regrouping the sequence changes no
         # bit.  r closes the sequence of caps, so it meets the last axis'
-        # terms, before the broadcast.
+        # terms, before the broadcast.  The lead's sums are released before
+        # the broadcast allocates the block's rows.
         rows = self.rows
         if len(lead):
-            terms = self.terms if last is None else self.lead_terms
-            sums = terms + lead[:, None, :, None]
+            sums = self.lead_terms + lead[:, None, :, None]
             if len(sums) == 1:
                 lagged, capped = sums[0, :rows], sums[0, rows:]
             else:
                 lagged = np.maximum.reduce(sums[:, :rows], axis=0)
                 capped = np.minimum.reduce(sums[:, rows:], axis=0)
-        if last is None:
-            capped = np.minimum(capped, self.r)
+        sums = self.last_terms + last
+        capped_last = np.minimum(sums[rows:], self.r)
+        if len(lead):
+            lagged = np.maximum(lagged, sums[:rows])
+            capped = np.minimum(capped, capped_last)
         else:
-            sums = self.last_terms + last
-            capped_last = np.minimum(sums[rows:], self.r)
-            if len(lead):
-                lagged = np.maximum(lagged, sums[:rows])
-                capped = np.minimum(capped, capped_last)
-            else:
-                lagged, capped = sums[:rows], capped_last
+            lagged, capped = sums[:rows], capped_last
         return lagged.reshape(rows, -1), capped.reshape(self.m, -1)
 
     def evaluate(
-        self, lead: np.ndarray, last: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(objective, violation) at the points lead x last, in C order.
+        self, lead: np.ndarray, last: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(objective, violation, due-date caps) at the points lead x last.
 
-        lead holds start columns: all n coordinates (n x N) when last is
-        None, else the first n - 1 (n - 1 x M) with last the L values of
-        the last coordinate, for M * L points.  The violation is how far
-        the due-date lower bounds exceed their caps; zero means the point
-        is feasible.
+        lead holds the first n - 1 coordinates of start columns (n - 1 x M)
+        and last the L values of the last coordinate, for M * L points in C
+        order.  The violation is how far the due-date lower bounds exceed
+        their caps; zero means the point is feasible.  The caps (m x M * L)
+        are the largest admissible due dates.
         """
         lagged, due_cap = self._join(lead, last)
         m = self.m
@@ -332,27 +315,22 @@ class _StageEvaluator:
             objective, excess = np.maximum.reduce(lagged.reshape(2, m, -1) - due_cap, axis=1)
         # max_i max(x_i, 0) as max(max_i x_i, 0): the same bits, because
         # equal positive values are equal floats and ties keep the 0.0.
-        return objective, np.maximum(excess, 0.0)
-
-    def due_dates(self, start: np.ndarray) -> np.ndarray:
-        return self._join(start[:, None], None)[1][:, 0]
+        return objective, np.maximum(excess, 0.0), due_cap
 
 
-def _refined_search(
-    ev: _StageEvaluator,
-) -> tuple[bool, float, np.ndarray | None, list[float]]:
+def _grid_search(ev: _StageEvaluator) -> GridSearchResult:
     lo, hi = ev.box()
     if not ev.box_feasible():
-        return False, np.inf, None, []
+        return GridSearchResult(False, None, None, None)
     hi = np.maximum(hi, lo)
     if _grid_exceeds(lo, hi, _INITIAL_STEP, _MAX_EVALUATIONS):
         raise GridTooLarge(f"initial grid would exceed {_MAX_EVALUATIONS:g} evaluations")
 
-    # The windows and the incumbent are lists of Python floats, so a round's
-    # bookkeeping is a few scalar operations per axis.  A window bound is
-    # replaced by the box's only where the box is strictly tighter, so on a
-    # tie a zero bound keeps its sign (np.maximum(lo, bound) also returns
-    # the bound on ties).
+    # The windows and the incumbent are Python floats, so a round's
+    # bookkeeping is a few scalar operations per axis and the incumbent
+    # keeps no block's arrays alive.  A window bound is replaced by the
+    # box's only where the box is strictly tighter, so on a tie a zero bound
+    # keeps its sign (np.maximum(lo, bound) also returns the bound on ties).
     lo, hi = lo.tolist(), hi.tolist()
     best_score = math.inf
     best_pt: list[float] | None = None
@@ -361,39 +339,28 @@ def _refined_search(
     win_lo, win_hi = lo, hi
     for _ in range(_REFINEMENT_ROUNDS + 1):
         for lead, last in _iter_grid(win_lo, win_hi, step):
-            objective, violation = ev.evaluate(lead, last)
+            objective, violation, due_cap = ev.evaluate(lead, last)
             score = objective + _PENALTY * violation
             i = int(score.argmin())
             if score[i] < best_score:
                 best_score = float(score[i])
-                if last is None:
-                    best_pt = lead[:, i].tolist()
-                else:
-                    k, j = divmod(i, len(last))
-                    best_pt = lead[:, k].tolist() + [float(last[j])]
+                k, j = divmod(i, len(last))
+                best_pt = lead[:, k].tolist() + [float(last[j])]
+                best_objective, best_violation = float(objective[i]), float(violation[i])
+                best_due = due_cap[:, i].tolist()
         history.append(best_score)
         win_lo = [a if a > (v := x - 2.0 * step) else v for a, x in zip(lo, best_pt)]
         win_hi = [b if b < (v := x + 2.0 * step) else v for b, x in zip(hi, best_pt)]
         step /= 2.0
-    pt = np.array(best_pt)
-    objective, violation = ev.evaluate(pt[:, None])
-    if float(violation[0]) > max(1e-6, 8.0 * step):
+    if best_violation > max(1e-6, 8.0 * step):
         # The penalised search could not reach the constrained region: it
         # is empty (or the penalty weight is too small for this instance).
-        return False, np.inf, None, history
-    return True, float(objective[0]), pt, history
-
-
-def _grid_search(ev: _StageEvaluator) -> GridSearchResult:
-    found, best, pt, history = _refined_search(ev)
-    if not found:
         return GridSearchResult(False, None, None, None, tuple(history))
-    due = ev.due_dates(pt)
     return GridSearchResult(
         True,
-        TropValue(best),
-        TropMatrix.column(pt),
-        TropMatrix.column(due),
+        TropValue(best_objective),
+        TropMatrix.column(best_pt),
+        TropMatrix.column(best_due),
         tuple(history),
     )
 

@@ -276,16 +276,14 @@ def _block_points(blocks):
     # The points of (lead, last) blocks, in block order, as rows.
     rows = []
     for lead, last in blocks:
-        tails = [[]] if last is None else [[x] for x in last.tolist()]
-        rows += [col + tail for col in lead.T.tolist() for tail in tails]
+        rows += [col + [x] for col in lead.T.tolist() for x in last.tolist()]
     return rows
 
 
 def _assert_block_matches(inst, mu, ev, lead, last):
     # Every point of the block lead x last, in C order, against the
     # reference: objective, violation and due-date caps.  Returns the caps.
-    objective, violation = ev.evaluate(lead, last)
-    due_cap = ev._join(lead, last)[1]
+    objective, violation, due_cap = ev.evaluate(lead, last)
     points = _block_points([(lead, last)])
     assert objective.shape == violation.shape == (len(points),)
     dues = []
@@ -298,9 +296,9 @@ def _assert_block_matches(inst, mu, ev, lead, last):
 
 
 def test_evaluator_matches_reference_loop(rng, monkeypatch):
-    # Start columns, (lead, last) blocks with L = 5 and L = 1, an empty lead
-    # (n = 1), and the blocks of a grid cut into 7-point chunks whose first
-    # axis starts at a signed zero.
+    # Single start vectors as one-point blocks, (lead, last) blocks with
+    # L = 5 and L = 1, an empty lead (n = 1), and the blocks of a grid cut
+    # into 7-point chunks whose first axis starts at a signed zero.
     from tropsched import oracle
     from tropsched.oracle import _StageEvaluator
 
@@ -312,10 +310,9 @@ def test_evaluator_matches_reference_loop(rng, monkeypatch):
         for mu in (None, float(rng.integers(-6, 7)) / scale):
             ev = _StageEvaluator(inst, mu)
             assert _hex(ev.start_lower) == _hex(_reference_start_lower(inst, mu))
-            dues = _assert_block_matches(inst, mu, ev, starts, None)
-            for k in range(starts.shape[1]):
-                start = starts[:, k]
-                assert _hex(ev.due_dates(start)) == _hex(_reference_point(inst, mu, start)[2])
+            dues = []
+            for start in starts.T:
+                dues += _assert_block_matches(inst, mu, ev, start[:-1, None], start[-1:])
             for width in (5, 1):
                 # With n = 1 the lead is one point of no coordinates.
                 lead = starts[:-1, : 4 if n > 1 else 1]
@@ -349,24 +346,28 @@ def test_grid_blocks_enumerate_in_c_order(monkeypatch):
             monkeypatch.setattr(oracle, "_GRID_CHUNK", chunk)
             blocks = list(oracle._iter_grid(lo, hi, 0.5))
             for lead, last in blocks:
-                assert lead.shape[0] == len(lo) - (last is not None)
-                size = lead.shape[1] * (1 if last is None else len(last))
-                assert size <= chunk
-            assert (blocks[0][1] is None) == (width == 1)
+                assert lead.shape[0] == len(lo) - 1
+                assert lead.shape[1] * len(last) <= chunk
+            assert len(blocks[0][1]) == min(width, chunk)
             assert _block_points(blocks) == expected
 
 
 def _oracle_bits(inst):
     # Both stages' results, floats as hex: found, best, u, v and history.
-    def bits(result):
+    # A found result's best and v are those of the reference at u.
+    def bits(result, mu):
         vec = [None if m is None else _hex(m.raw[:, 0]) for m in (result.u, result.v)]
         best = None if result.best is None else float(result.best.value).hex()
+        if result.found:
+            ref_obj, _, ref_due = _reference_point(inst, mu, result.u.raw[:, 0].tolist())
+            assert (best, vec[1]) == (float(ref_obj).hex(), _hex(ref_due))
         return result.found, best, *vec, _hex(result.history)
 
-    out = [bits(grid_search_stage1(inst))]
+    out = [bits(grid_search_stage1(inst), None)]
     report = ts.solve(inst)
     if report.stage1.feasible:
-        out.append(bits(grid_search_stage2(inst, report.stage1.mu)))
+        mu = report.stage1.mu
+        out.append(bits(grid_search_stage2(inst, mu), float(mu.value)))
     return out
 
 
