@@ -11,10 +11,10 @@ closure read off the stage condition's star (one Karp pass at order
 min(m, n)); in stage one that closure is the identity, and Karp runs on R
 or P itself.  The other three are root-scaled, degree-separated bilinear
 forms.
-The full solution set is a pair of star generators acting on parameters
-ranging over a box, with at most m + n + 1 extreme schedules; they are the
-images of the box corners, each a one-coordinate change of the lower
-corner's schedule.
+The full solution set is one star A* acting on parameters w = (u, v)
+ranging over a box: every optimal schedule is z = (x, y) = A* w.  Its at
+most m + n + 1 extreme schedules are the images of the box corners, each
+a one-coordinate change of the lower corner's schedule.
 
 Both stage conditions and the solution set are one tool: the double
 inequality A z + b <= z <= d over z = (x, y), where A is skew block
@@ -24,7 +24,7 @@ uses no start-finish block, stage two the mu-scaled first-project lags,
 and the solution set adds the eta-scaled second-project lags; each is a
 call to ``inequality.solve_double_inequality`` on a ``SkewBlock``, whose
 existence condition is the stage condition and whose star and box are
-the generators and the parameter box.  Each stage is built once: its
+the solution set's generator and parameter box.  Each stage is built once: its
 verdict and its term families are read off the same ``DerivedMatrices``,
 so a feasible solve solves three double inequalities, stage one's, stage
 two's and the solution set's.
@@ -145,15 +145,31 @@ class DerivedMatrices:
 
 @dataclass(frozen=True)
 class StageTwoResult:
+    """Every optimal schedule is (x, y) = generator (u; v), u and v in their boxes."""
+
     feasible: bool
     eta: TropValue | None
-    x_generator: TropMatrix | None
-    y_generator: TropMatrix | None
+    generator: TropMatrix | None  # A*, order n + m
     u_lower: TropMatrix | None
     u_upper: TropMatrix | None
     v_lower: TropMatrix | None
     v_upper: TropMatrix | None
     derived: DerivedMatrices
+
+    def _diagonal_block(self, block: slice) -> TropMatrix | None:
+        if self.generator is None:
+            return None
+        return TropMatrix._wrap(self.generator.raw[block, block])
+
+    @property
+    def x_generator(self) -> TropMatrix | None:
+        """X* = (eta~ R + S)*, a view of the generator's upper-left n x n block."""
+        return self._diagonal_block(slice(None, self.derived.D1conj.rows))
+
+    @property
+    def y_generator(self) -> TropMatrix | None:
+        """Y* = (eta~ P + Q)*, a view of the generator's lower-right m x m block."""
+        return self._diagonal_block(slice(self.derived.D1conj.rows, None))
 
 
 @dataclass(frozen=True)
@@ -407,34 +423,32 @@ def compute_eta(dm: DerivedMatrices, inst: ProblemInstance) -> TropValue:
     return _optimum(eta_term_families(dm, inst), "stage-two")
 
 
-def _c_eta(dm: DerivedMatrices, eta: TropValue, inst: ProblemInstance) -> TropMatrix:
-    # Start-finish block of the optimal set: an objective of at most eta
-    # reads eta~ A x <= y, which joins the mu-scaled first-project lags.
-    return mat_add(scalar_mul(t_inv(eta), inst.A), dm.C1)
-
-
 def solution_set(
     dm: DerivedMatrices, eta: TropValue, inst: ProblemInstance
 ) -> StageTwoResult:
-    """Generators and parameter box describing every optimal schedule.
+    """The star and parameter box describing every optimal schedule.
 
-    The generators are the diagonal blocks of the star of the optimal
-    set's skew block, (eta~ R + S)* for x and (eta~ P + Q)* for y; the
-    parameter box is the double inequality's box, split into u and v.
+    The generator is the whole star A* of the optimal set's skew block
+    (D1~, C_eta), C_eta = eta~ A + C1: every optimal schedule is z = A* w for
+    w = (u, v) in the double inequality's box, split into u and v.  Its
+    diagonal blocks are (eta~ R + S)* and (eta~ P + Q)*, and its off-diagonal
+    blocks X* D1~ and Y* C_eta carry v into x and u into y.
     """
-    box = _stage_box(inst, SkewBlock(dm.D1conj, _c_eta(dm, eta, inst)))
+    # An objective of at most eta reads eta~ A x <= y, which joins the
+    # mu-scaled first-project lags.
+    c_eta = mat_add(scalar_mul(t_inv(eta), inst.A), dm.C1)
+    box = _stage_box(inst, SkewBlock(dm.D1conj, c_eta))
     if not box.feasible:
         raise InternalConsistency(
             "empty solution set at the computed optimum: "
             f"condition value {box.delta.raw}"
         )
     n = inst.n
-    star, upper = box.generator.raw, box.upper.raw
+    upper = box.upper.raw
     return StageTwoResult(
         feasible=True,
         eta=eta,
-        x_generator=TropMatrix._wrap(star[:n, :n].copy()),
-        y_generator=TropMatrix._wrap(star[n:, n:].copy()),
+        generator=box.generator,
         u_lower=inst.g,
         u_upper=TropMatrix._wrap(upper[:n].copy()),
         v_lower=inst.q,
@@ -476,30 +490,16 @@ def _one_coordinate_joins(
 def _corner_schedules(
     result: StageTwoResult, inst: ProblemInstance
 ) -> tuple[np.ndarray, np.ndarray]:
-    # x = X* (u + D1~ v) and y = Y* (C_eta u + v) of the m + n + 1 box
-    # corners, regular or not, in candidate order: the lower corner, then
-    # each u_k, then each v_k raised to its upper bound.  A corner moves one
-    # coordinate of the lower corner, so D1~ v, C_eta u, x of the u-corners
-    # and y of the v-corners are one-coordinate joins.  The arguments that
-    # move in every coordinate, u + D1~ v of the v-corners and C_eta u + v of
-    # the u-corners, go through one product each.  Every column is
-    # ``materialize``'s schedule of that corner to the bit.
-    dm = result.derived
-    g, h = result.u_lower.raw[:, 0], result.u_upper.raw[:, 0]
-    q, r = result.v_lower.raw[:, 0], result.v_upper.raw[:, 0]
-    dv, dv_raised = _one_coordinate_joins(dm.D1conj.raw, q, r)
-    cu, cu_raised = _one_coordinate_joins(_c_eta(dm, result.eta, inst).raw, g, h)
-    x_low, x_u = _one_coordinate_joins(
-        result.x_generator.raw, np.maximum(g, dv), np.maximum(h, dv)
-    )
-    y_low, y_v = _one_coordinate_joins(
-        result.y_generator.raw, np.maximum(cu, q), np.maximum(cu, r)
-    )
-    x_v = mat_mul(result.x_generator, TropMatrix._wrap(np.maximum(g[:, None], dv_raised)))
-    y_u = mat_mul(result.y_generator, TropMatrix._wrap(np.maximum(cu_raised, q[:, None])))
-    x = np.hstack((x_low[:, None], x_u, x_v.raw))
-    y = np.hstack((y_low[:, None], y_u.raw, y_v))
-    return x, y
+    # z = A* w of the m + n + 1 box corners, regular or not, in candidate
+    # order: the lower corner w = (g, q), then w with each coordinate of
+    # (u, v) raised to its upper bound; z is split into x and y.  A corner
+    # moves one coordinate of w, so its schedule is a one-coordinate join of
+    # the lower corner's terms: ``materialize``'s schedule to the bit.
+    lower = np.vstack((result.u_lower.raw, result.v_lower.raw))[:, 0]
+    upper = np.vstack((result.u_upper.raw, result.v_upper.raw))[:, 0]
+    z_low, z_raised = _one_coordinate_joins(result.generator.raw, lower, upper)
+    z = np.hstack((z_low[:, None], z_raised))
+    return z[: inst.n], z[inst.n :]
 
 
 def materialize(
@@ -510,10 +510,10 @@ def materialize(
 ) -> ScheduleSolution:
     """Schedule for a concrete parameter choice inside the box.
 
-    x = X* (u + D1~ v) and y = Y* (C_eta u + v), associated in that order,
-    one column through the matrix kernels.  ``extreme_points`` builds the
-    box corners' schedules by one-coordinate joins, tested against this
-    route bit for bit.
+    z = A* (u; v), one product with the full generator, split into x (the
+    first n entries) and y.  ``extreme_points`` builds the box corners'
+    schedules by one-coordinate joins, tested against this route bit for
+    bit.
     """
     if not result.feasible:
         raise StageTwoInfeasible("cannot materialise from an infeasible result")
@@ -521,11 +521,8 @@ def materialize(
         raise ParameterOutOfBox("u lies outside the parameter box")
     if not _vec_leq(result.v_lower, v) or not _vec_leq(v, result.v_upper):
         raise ParameterOutOfBox("v lies outside the parameter box")
-    dm = result.derived
-    x = mat_mul(result.x_generator, mat_add(u, mat_mul(dm.D1conj, v)))
-    y = mat_mul(
-        result.y_generator, mat_add(mat_mul(_c_eta(dm, result.eta, inst), u), v)
-    )
+    z = mat_mul(result.generator, _stack(u, v)).raw
+    x, y = TropMatrix._wrap(z[: inst.n]), TropMatrix._wrap(z[inst.n :])
     if not _regular(x.raw, y.raw).all():
         raise ParameterOutOfBox(
             "parameters produce a schedule with undefined components"
@@ -555,13 +552,12 @@ def extreme_points(
 
     Candidates are the all-lower parameter point plus, for each coordinate
     of (u, v), the point with that coordinate raised to its upper bound.
-    Their schedules are built from the lower corner's: each corner moves
-    one coordinate, so most of its schedule is a one-coordinate join of
-    the lower corner's terms, exact also where an upper bound lies up to
-    the feasibility tolerance below its lower bound, and only the arguments
-    that move in every coordinate go through a product (one per
-    generator); each schedule is the one ``materialize`` builds through the
-    kernels for that corner, to the bit.  Those with a zero-element
+    Their schedules z = A* w are built from the lower corner's with no
+    product: each corner moves one coordinate of w, so its schedule is a
+    one-coordinate join of the lower corner's terms, exact also where an
+    upper bound lies up to the feasibility tolerance below its lower
+    bound; each is the schedule ``materialize`` builds through the kernels
+    for that corner, to the bit.  Those with a zero-element
     component are dropped (zero-element lower bounds may not define a
     schedule), and the rest are deduplicated in candidate order, a
     candidate being kept unless its (x, y) lies within 1e-9 of an already
@@ -646,9 +642,7 @@ def solve(inst: ProblemInstance) -> SolveReport:
         return replace(
             report,
             stage2_value=s2_value,
-            stage2=StageTwoResult(
-                False, None, None, None, None, None, None, None, dm
-            ),
+            stage2=StageTwoResult(False, None, None, None, None, None, None, dm),
             notes=notes,
         )
     terms2 = eta_term_families(dm, inst)

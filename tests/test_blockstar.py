@@ -8,6 +8,7 @@ from tropsched.errors import DimensionMismatch, StarDiverges
 from tropsched.linalg import (
     TropMatrix,
     kleene_star,
+    mat_mul,
     mat_pow,
     scalar_mul,
     spectral_radius_via_traces,
@@ -100,6 +101,30 @@ def test_star_from_one_closure_on_zero_weight_cycles(rng):
             for density in (0.3, 0.8, 1.0):
                 sb = zero_cycle_skew(rng, p, q, density=density)
                 assert skew_star(sb) == kleene_star(assemble(sb))
+
+
+def test_star_off_diagonal_blocks_extend_the_diagonal_blocks(rng):
+    # With K and L the star's upper-left and lower-right blocks, its upper
+    # right block is K B = B L and its lower left C K = L C.  On integer
+    # data every sum is exact, so both orientations (p <= q closes BC, p > q
+    # closes CB) give all four products to the bit, zero blocks included.
+    for p in range(1, 6):
+        for q in range(1, 6):
+            cases = [zero_cycle_skew(rng, p, q, density=d) for d in (0.3, 0.8, 1.0)]
+            b, c = rand_mat(rng, p, q), rand_mat(rng, q, p)
+            cases += [
+                SkewBlock(TropMatrix.zeros(p, q), c),
+                SkewBlock(b, TropMatrix.zeros(q, p)),
+                SkewBlock(TropMatrix.zeros(p, q), TropMatrix.zeros(q, p)),
+            ]
+            for sb in cases:
+                star = skew_star(sb).raw
+                ul, lr = TropMatrix(star[:p, :p]), TropMatrix(star[p:, p:])
+                ur, ll = star[:p, p:].tobytes(), star[p:, :p].tobytes()
+                assert mat_mul(ul, sb.B).raw.tobytes() == ur
+                assert mat_mul(sb.B, lr).raw.tobytes() == ur
+                assert mat_mul(sb.C, ul).raw.tobytes() == ll
+                assert mat_mul(lr, sb.C).raw.tobytes() == ll
 
 
 def test_zero_block_star_needs_no_closure(rng, monkeypatch):
