@@ -17,7 +17,10 @@ text out itself when the list is a row of scalars or a matrix of such
 rows; only dicts and other lists are walked in Python.
 
 Exit codes: 0 solved feasible, 2 infeasible, 3 invalid input or usage
-error, 4 internal consistency failure, 5 oracle disagreement.
+error, 4 internal consistency failure, 5 oracle disagreement.  Every
+subcommand, verify included, prints "infeasible: condition value <v>" on
+stderr when it exits 2, v being the failing stage's condition value, and
+"oracle disagreement" when it exits 5.
 """
 
 from __future__ import annotations
@@ -221,6 +224,24 @@ def _solution_to_dict(sol: ScheduleSolution) -> dict:
     }
 
 
+def _stage_to_dict(
+    feasible: bool,
+    condition: TropValue,
+    optimum_key: str,
+    optimum: TropValue | None,
+    terms: dict[str, TropValue] | None,
+) -> dict:
+    doc: dict[str, Any] = {
+        "feasible": feasible,
+        "condition_value": _value_to_json(condition),
+        optimum_key: _value_to_json(optimum),
+        "marginal": abs(condition.raw) <= MARGINAL_BAND,
+    }
+    if terms is not None:
+        doc["term_families"] = {k: _value_to_json(v) for k, v in terms.items()}
+    return doc
+
+
 def report_to_dict(
     report: SolveReport,
     verification: dict | None = None,
@@ -230,35 +251,19 @@ def report_to_dict(
     s1 = report.stage1
     doc: dict[str, Any] = {
         "status": report.status,
-        "stage1": {
-            "feasible": s1.feasible,
-            "condition_value": _value_to_json(s1.feasibility_value),
-            "mu": _value_to_json(s1.mu),
-            "marginal": abs(s1.feasibility_value.raw) <= MARGINAL_BAND,
-        },
+        "stage1": _stage_to_dict(
+            s1.feasible, s1.feasibility_value, "mu", s1.mu, report.stage1_terms
+        ),
         "notes": list(report.notes),
     }
-    if report.stage1_terms is not None:
-        doc["stage1"]["term_families"] = {
-            k: _value_to_json(v) for k, v in report.stage1_terms.items()
-        }
     if report.stage2_value is not None:
         s2 = report.stage2
-        stage2_doc: dict[str, Any] = {
-            "feasible": s2.feasible,
-            "condition_value": _value_to_json(report.stage2_value),
-            "eta": _value_to_json(s2.eta),
-            "marginal": abs(report.stage2_value.raw) <= MARGINAL_BAND,
-        }
+        doc["stage2"] = _stage_to_dict(
+            s2.feasible, report.stage2_value, "eta", s2.eta, report.stage2_terms
+        )
         if report.stage2_terms is not None:
-            stage2_doc["term_families"] = {
-                k: _value_to_json(v) for k, v in report.stage2_terms.items()
-            }
-            dominant = max(
-                report.stage2_terms.items(), key=lambda kv: kv[1].raw
-            )
-            stage2_doc["dominant_term_family"] = dominant[0]
-        doc["stage2"] = stage2_doc
+            dominant = max(report.stage2_terms.items(), key=lambda kv: kv[1].raw)
+            doc["stage2"]["dominant_term_family"] = dominant[0]
         if s2.feasible:
             doc["solution_set"] = {
                 "u_box": {
@@ -389,36 +394,33 @@ def report_to_text(doc: dict) -> str:
 # -- subcommand implementations ---------------------------------------------------
 
 
-def _emit(doc: dict, args) -> None:
+def _finish(report: SolveReport, args, **sections) -> int:
+    # The one exit path of every subcommand: write the report with its
+    # sections (verification=, samples=, seed=), then pick the exit code
+    # and print at most one stderr line for it.
+    doc = report_to_dict(report, **sections)
     text = dumps_report(doc) if args.format == "json" else report_to_text(doc)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _finish(report: SolveReport, doc: dict, args) -> int:
-    _emit(doc, args)
-    if report.status not in ("optimal", "stage1_solved"):
-        value = (
-            report.stage1.feasibility_value
-            if not report.stage1.feasible
-            else report.stage2_value
-        )
-        print(f"infeasible: condition value {value.raw}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    if doc.get("verification", {}).get("agreement") is False:
+        print("oracle disagreement", file=sys.stderr)
+        return EXIT_DISAGREEMENT
+    if report.status in ("optimal", "stage1_solved"):
+        return EXIT_OK
+    value = report.stage2_value if report.stage1.feasible else report.stage1.feasibility_value
+    print(f"infeasible: condition value {value.raw}", file=sys.stderr)
+    return EXIT_INFEASIBLE
 
 
 def _cmd_solve(args) -> int:
-    report = solve(parse_instance(args.instance))
-    return _finish(report, report_to_dict(report), args)
+    return _finish(solve(parse_instance(args.instance)), args)
 
 
 def _cmd_stage1(args) -> int:
-    report = solve_stage1(parse_instance(args.instance))
-    return _finish(report, report_to_dict(report), args)
+    return _finish(solve_stage1(parse_instance(args.instance)), args)
 
 
 def _cmd_verify(args) -> int:
@@ -434,60 +436,52 @@ def _cmd_verify(args) -> int:
             "oracle_best": {"stage1": None, "stage2": None},
             "agreement": None,
         }
-    doc = report_to_dict(report, verification=verification)
-    _emit(doc, args)
-    if verification["agreement"] is False:
-        print("oracle disagreement", file=sys.stderr)
-        return EXIT_DISAGREEMENT
-    if report.status != "optimal":
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    return _finish(report, args, verification=verification)
 
 
 def _oracle_verification(
     inst: ProblemInstance, report: SolveReport, tol: float
 ) -> dict:
-    oracle1 = grid_search_stage1(inst)
-    agreement = oracle1.found == report.stage1.feasible
-    oracle_best: dict[str, float | None] = {
-        "stage1": None if oracle1.best is None else oracle1.best.value
-    }
-    if oracle1.found and report.stage1.feasible:
-        agreement &= abs(oracle1.best.value - report.stage1.mu.value) <= tol
-    oracle_best["stage2"] = None
-    if report.stage1.feasible:
-        oracle2 = grid_search_stage2(inst, report.stage1.mu)
-        stage2_feasible = report.status == "optimal"
-        agreement &= oracle2.found == stage2_feasible
-        if oracle2.found:
-            oracle_best["stage2"] = oracle2.best.value
-            if stage2_feasible:
-                agreement &= abs(oracle2.best.value - report.stage2.eta.value) <= tol
-    return {
-        "oracle_run": True,
-        "oracle_best": oracle_best,
-        "agreement": bool(agreement),
-    }
+    # Per stage the solver reached: the oracle's result, the solver's
+    # verdict and its optimum.  The two agree when both find the stage
+    # infeasible, or both find it feasible with optima within tol.
+    s1 = report.stage1
+    stages = {"stage1": (grid_search_stage1(inst), s1.feasible, s1.mu)}
+    if s1.feasible:
+        stages["stage2"] = (
+            grid_search_stage2(inst, s1.mu),
+            report.status == "optimal",
+            report.stage2.eta,
+        )
+    agreement = all(
+        oracle.found == feasible
+        and (not feasible or abs(oracle.best.value - optimum.value) <= tol)
+        for oracle, feasible, optimum in stages.values()
+    )
+    oracle_best = dict.fromkeys(("stage1", "stage2"))
+    for stage, (oracle, _, _) in stages.items():
+        if oracle.best is not None:
+            oracle_best[stage] = oracle.best.value
+    return {"oracle_run": True, "oracle_best": oracle_best, "agreement": agreement}
 
 
 def _cmd_sample(args) -> int:
     inst = parse_instance(args.instance)
     report = solve(inst)
-    if report.status != "optimal":
-        return _finish(report, report_to_dict(report, seed=args.seed), args)
-    rng = np.random.default_rng(args.seed)
-    s2 = report.stage2
-    samples = []
-    for _ in range(args.count):
-        u = _draw(rng, s2.u_lower.raw[:, 0], s2.u_upper.raw[:, 0])
-        v = _draw(rng, s2.v_lower.raw[:, 0], s2.v_upper.raw[:, 0])
-        sol = materialize(s2, TropMatrix.column(u), TropMatrix.column(v), inst)
-        entry = _solution_to_dict(sol)
-        entry["u"] = u.tolist()
-        entry["v"] = v.tolist()
-        samples.append(entry)
-    doc = report_to_dict(report, samples=samples, seed=args.seed)
-    return _finish(report, doc, args)
+    samples = None
+    if report.status == "optimal":
+        rng = np.random.default_rng(args.seed)
+        s2 = report.stage2
+        samples = []
+        for _ in range(args.count):
+            u = _draw(rng, s2.u_lower.raw[:, 0], s2.u_upper.raw[:, 0])
+            v = _draw(rng, s2.v_lower.raw[:, 0], s2.v_upper.raw[:, 0])
+            sol = materialize(s2, TropMatrix.column(u), TropMatrix.column(v), inst)
+            entry = _solution_to_dict(sol)
+            entry["u"] = u.tolist()
+            entry["v"] = v.tolist()
+            samples.append(entry)
+    return _finish(report, args, samples=samples, seed=args.seed)
 
 
 # Parameters with a zero-element lower bound are sampled from a window of

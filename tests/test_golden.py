@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -23,6 +24,7 @@ _ROOT = Path(__file__).resolve().parent.parent
 _FIXTURE_DIR = _ROOT / "fixtures"
 _GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 _META = _GOLDEN_DIR / "meta.json"
+_README = _ROOT / "README.md"
 
 # Subcommand -> extra arguments after the instance path.
 COMMANDS = {
@@ -68,6 +70,32 @@ def test_report_matches_golden(stem, command):
 def test_every_case_is_recorded():
     meta = json.loads(_META.read_text())
     assert sorted(meta) == sorted(_case_id(*case) for case in CASES)
+
+
+def _report_words(value) -> set[str]:
+    """Every key and string value in a report document."""
+    if isinstance(value, dict):
+        return set(value).union(*map(_report_words, value.values()))
+    if isinstance(value, list):
+        return set().union(*map(_report_words, value))
+    return {value} if isinstance(value, str) else set()
+
+
+def test_readme_report_fields_exist():
+    # Every plain identifier the README's "Report files" section puts in
+    # backticks must be a name a report really writes (or a subcommand, or
+    # null), so the section cannot drift from the report format again.
+    text = _README.read_text()
+    section = text.split("\n## Report files\n", 1)[1].split("\n## ", 1)[0]
+    names = {
+        span
+        for span in re.findall(r"`([^`]+)`", section)
+        if re.fullmatch(r"[A-Za-z_]\w*", span)
+    }
+    known = set(COMMANDS) | {"null"}
+    for path in _GOLDEN_DIR.glob("*.stdout"):
+        known |= _report_words(json.loads(path.read_text()))
+    assert names and sorted(names - known) == []
 
 
 def record() -> None:

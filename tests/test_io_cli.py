@@ -422,11 +422,50 @@ def test_cli_verify_disagreement_exit_code(monkeypatch, capsys):
         return GridSearchResult(True, TropValue(123.0), None, None)
 
     monkeypatch.setattr(io_cli, "grid_search_stage1", wrong_oracle)
-    assert run_cli(["verify", FIXTURES["worked"]]) == 5
-    captured = capsys.readouterr()
-    assert "oracle disagreement" in captured.err
+    # Exit 5 outranks exit 2: on an infeasible instance only its line shows.
+    for fixture in ("worked", "infeasible"):
+        assert run_cli(["verify", FIXTURES[fixture]]) == 5
+        captured = capsys.readouterr()
+        assert captured.err == "oracle disagreement\n"
+        doc = json.loads(captured.out)
+        assert doc["verification"]["agreement"] is False
+
+
+def _assert_exit_2_line(captured) -> None:
+    # An exit 2 ends stderr with exactly one line naming the failing
+    # stage's condition value as the report writes it.
     doc = json.loads(captured.out)
-    assert doc["verification"]["agreement"] is False
+    stage = doc["stage2"] if doc["stage1"]["feasible"] else doc["stage1"]
+    line = f"infeasible: condition value {stage['condition_value']}\n"
+    assert captured.err.endswith(line)
+    assert captured.err.count("infeasible: ") == 1
+
+
+@pytest.mark.parametrize("fixture", ["infeasible", "stage2_infeasible"])
+@pytest.mark.parametrize("command", ["solve", "stage1", "verify", "extreme", "sample"])
+def test_cli_exit_2_prints_condition_value(capsys, command, fixture):
+    code = run_cli([command, FIXTURES[fixture]])
+    captured = capsys.readouterr()
+    if code == 2:
+        _assert_exit_2_line(captured)
+    else:  # stage1 on an instance whose stage one is feasible
+        assert (code, captured.err) == (0, "")
+        assert (command, fixture) == ("stage1", "stage2_infeasible")
+
+
+def test_cli_verify_exit_2_without_oracle(tmp_path, capsys):
+    # The box is too wide for the grid oracle and stage two is infeasible:
+    # the skipped-oracle line comes first, then the exit-2 line.
+    doc = instance_to_dict(random_scale_instance(np.random.default_rng(1), 6, 6))
+    doc["B"] = [[None if x is None else x - 30 for x in row] for row in doc["B"]]
+    src = tmp_path / "instance.json"
+    write_instance(instance_from_dict(doc), str(src))
+    assert run_cli(["verify", str(src)]) == 2
+    captured = capsys.readouterr()
+    skipped, infeasible = captured.err.splitlines()
+    assert skipped.startswith("oracle skipped: ")
+    assert infeasible == "infeasible: condition value 180.0"
+    _assert_exit_2_line(captured)
 
 
 def test_cli_sample_deterministic(capsys):
