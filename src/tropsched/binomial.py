@@ -16,8 +16,10 @@ Both stages use only the vector forms, through one routine,
 ``form_families``: it propagates the triangle on one right-hand vector by
 one max-plus product per anti-diagonal, at O(n^2 p^2), and returns the
 rooted families of per-degree bilinear forms read off the last
-anti-diagonal.  It always runs the pure-A chain A^k rhs first (p
-reductions), whose families, with a zero B (stage one), are the result.
+anti-diagonal.  It always starts from the pure-A chain A^k rhs, the
+``linalg.walk_table`` of the rows of A^T from rhs (or a chain the caller
+has already run, the scheduler batching it with its other walk tables);
+with a zero B (stage one) the chain's families are the result.
 Otherwise they bound the table, and three tiers look for a certificate
 that no walk with a B-factor can reach a family, in which case the
 chain's families are the result with no anti-diagonal product: first a
@@ -38,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import TropMatrix, mat_add, mat_mul, trace
+from .linalg import TropMatrix, mat_add, mat_mul, trace, walk_table
 from .semiring import TropValue
 
 
@@ -130,6 +132,7 @@ def form_families(
     rhs: TropMatrix,
     forms: Sequence[tuple[TropMatrix, int]],
     p: int,
+    chain: np.ndarray | None = None,
 ) -> list[TropValue]:
     """The rooted per-degree bilinear forms of the (k, l) triangle.
 
@@ -145,13 +148,16 @@ def form_families(
     bit.  The last anti-diagonal, e[k, p-k] = T[k, p-k] . rhs, gives every
     per-degree form of one lhs in one product.
 
-    The pure-P chain lhs . P^k rhs, p reductions P e over the leading axis
-    of P^T, is the table with Q all zero, same sums, same max: with Q all
-    zero (stage one) its families are the result.  The leading axis takes
-    the max of the same float sums as a row reduction of P does; only the
-    sign of a zero max could depend on the order, and a float sum is -0.0
-    only when both terms are, so with no -0.0 in P no sum is -0.0.  The
-    pipeline's P and R hold none (``scheduler._term_families`` says why).
+    The pure-P chain lhs . P^k rhs is the table with Q all zero, same sums,
+    same max: with Q all zero (stage one) its families are the result.
+    ``chain`` holds P^k rhs in row k, k = 0..p; without it the chain is
+    ``linalg.walk_table`` of the rows of P^T from rhs, whose steps reduce
+    over the rows of P^T, p steps in all.  That takes the max of the same
+    float sums as a row reduction of P does; only the sign of a zero max
+    could depend on the order, and a float sum is -0.0 only when both terms
+    are, so with no -0.0 in P no sum is -0.0.  The pipeline's P and R hold
+    none (``scheduler._term_families`` says why), and it passes the chain
+    from its own batched walk table.
     Otherwise the chain's families v are lower bounds: a walk of the table
     attains v, since the table holds the chain with the same sums.  Weigh
     P-arcs P - v, Q-arcs Q and the end lhs - v o: a walk of k P-arcs reaches
@@ -176,8 +182,9 @@ def form_families(
 
            U[0] = lhs - v o,    U[r] = U[r-1] + U[r-1] max(P - v, Q)  (max-plus),
 
-       and a cell e of k P-arcs and s arcs in all passes the row test for a
-       family when
+       one ``walk_table`` for all families (the identity joined on each
+       diagonal of max(P - v, Q)), and a cell e of k P-arcs and s arcs in
+       all passes the row test for a family when
 
            max_j fl(e_j + U[p-s]_j) >= v k - tau.
 
@@ -261,12 +268,10 @@ def form_families(
         values = (ends[:, :, None] + columns).max(axis=1)
         return [_rooted_join(row, o) for row, o in zip(values, offsets)]
 
-    # chain[k] = P^k rhs, one reduction over the leading axis of P^T per power.
-    p_t = p_mat.raw.T.copy()
-    chain = np.empty((p + 1, d))
-    chain[0] = rhs.raw[:, 0]
-    for k in range(1, p + 1):
-        chain[k] = (p_t + chain[k - 1][:, None]).max(axis=0)
+    if chain is None:  # chain[k] = P^k rhs: the walk table of the rows of P^T
+        chain = walk_table(p_mat.raw.T[None].copy(), rhs.raw.T, p)[:, 0]
+    elif chain.shape != (p + 1, d):
+        raise DimensionMismatch(f"chain must be {p + 1}x{d}, got {chain.shape}")
     lows = rooted(chain.T)
     if q_mat.is_zero_matrix():
         return lows
@@ -289,15 +294,13 @@ def form_families(
         bound += np.arange(p - 1, -1, -1) * h[:, None]
         if (bound < limits).all():
             return lows
-        # Tier 2.  U[r] = U[r-1] (I + max(P - v, Q)): one batched product per step.
+        # Tier 2.  U[r] = U[r-1] (I + max(P - v, Q)): one walk table for all
+        # families.
         hops = np.empty((len(forms), d, d))
         np.maximum(p_mat.raw - v[:, None, None], q_mat.raw, out=hops)
         loops = hops.reshape(len(forms), d * d)[:, :: d + 1]  # diagonals, a view
         np.maximum(loops, 0.0, out=loops)
-        completions = np.empty((p + 1, len(forms), d))
-        completions[0] = tails
-        for r in range(1, p + 1):
-            completions[r] = (completions[r - 1][:, :, None] + hops).max(axis=1)
+        completions = walk_table(hops, tails, p)
         # The product certificate: row k of first_q is Q P^k rhs, k P-arcs and
         # k + 1 arcs in all, so its completions are U[p-1-k].
         first_q = mat_mul(TropMatrix._wrap(chain[:p]), TropMatrix._wrap(q_mat.raw.T.copy()))

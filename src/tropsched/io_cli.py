@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -76,17 +77,6 @@ def _reject_constant(token: str):
 
 _PLAIN_ENTRY_TYPES = frozenset({int, float, type(None)})
 
-
-def _check_entries(values: list, where) -> None:
-    # where(j) names entry j, and is only called to word the error.  A row
-    # of plain ints, floats and nulls passes in one test; any other row is
-    # checked entry by entry.
-    if not set(map(type, values)) <= _PLAIN_ENTRY_TYPES:
-        for j, x in enumerate(values):
-            if x is not None and (isinstance(x, bool) or not isinstance(x, (int, float))):
-                raise ParseError(f"{where(j)}: entry must be a number or null, got {x!r}")
-
-
 # Largest accepted magnitude of a finite entry.  The solver and the oracle
 # only ever add up a few entries at a time: a star path or a table walk
 # sums O(m + n) lags, a cycle mean or root divides such a sum, and the
@@ -96,18 +86,34 @@ def _check_entries(values: list, where) -> None:
 _ENTRY_BOUND = 1e300
 
 
-def _entry_array(rows: list[list], where) -> np.ndarray:
-    # Checked rows as a float array with -inf for null; where(i, j) names
-    # entry (i, j).  NumPy reads null as NaN.  json reads a literal beyond
+def _entry_array(name: str, rows: list, cols: int, where) -> np.ndarray:
+    # Field name's rows, each to be a list of cols numbers or nulls, as a
+    # float array with -inf for null; where(i, j) names entry (i, j).  A
+    # field of list rows of the right length and plain ints, floats and
+    # nulls passes in one test over all its entries, and is converted by
+    # one np.array, which reads null as NaN.  json reads a literal beyond
     # the float range as an infinity, or as an int too large to convert, so
     # unless every entry but the nulls is a float within _ENTRY_BOUND, the
     # entries are walked one by one and the first that is not is rejected
-    # by name.
+    # by name.  Any other field is walked row by row, each row's length
+    # before its entries, and the first fault is rejected by name: the
+    # walks run only to word an error, or to pass a list or number subclass.
+    types = None
+    if set(map(type, rows)) == {list} and set(map(len, rows)) == {cols}:
+        types = set(map(type, itertools.chain.from_iterable(rows)))
+    if types is None or not types <= _PLAIN_ENTRY_TYPES:
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != cols:
+                raise ParseError(f"field {name!r}, row {i}: expected {cols} entries")
+            for j, x in enumerate(row):
+                if x is not None and (isinstance(x, bool) or not isinstance(x, (int, float))):
+                    raise ParseError(f"{where(i, j)}: entry must be a number or null, got {x!r}")
+        types = set(map(type, itertools.chain.from_iterable(rows)))
     try:
         data = np.array(rows, dtype=np.float64)
     except OverflowError:
         data = None
-    nulls = sum(row.count(None) for row in rows)
+    nulls = sum(row.count(None) for row in rows) if type(None) in types else 0
     if data is None or np.count_nonzero(np.abs(data) <= _ENTRY_BOUND) + nulls != data.size:
         for i, row in enumerate(rows):
             for j, x in enumerate(row):
@@ -123,7 +129,8 @@ def _entry_array(rows: list[list], where) -> np.ndarray:
                     raise ParseError(
                         f"{where(i, j)}: entry exceeds {_ENTRY_BOUND:g} in magnitude"
                     )
-    data[np.isnan(data)] = _NEG_INF
+    if nulls:
+        data[np.isnan(data)] = _NEG_INF
     return data
 
 
@@ -135,11 +142,8 @@ def _parse_matrix(doc: dict, name: str, rows: int, cols: int) -> TropMatrix:
     def where(i: int, j: int) -> str:
         return f"field {name!r}, row {i}, column {j}"
 
-    for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != cols:
-            raise ParseError(f"field {name!r}, row {i}: expected {cols} entries")
-        _check_entries(row, functools.partial(where, i))
-    return TropMatrix(_entry_array(value, where))
+    # The array is checked: finite or -inf, 2-D and non-empty.
+    return TropMatrix._wrap(_entry_array(name, value, cols, where))
 
 
 def _parse_vector(doc: dict, name: str, size: int) -> TropMatrix:
@@ -150,8 +154,7 @@ def _parse_vector(doc: dict, name: str, size: int) -> TropMatrix:
     def where(_: int, i: int) -> str:
         return f"field {name!r}, index {i}"
 
-    _check_entries(value, functools.partial(where, 0))
-    return TropMatrix(_entry_array([value], where).T)
+    return TropMatrix._wrap(_entry_array(name, [value], size, where).reshape(size, 1))
 
 
 def instance_from_dict(doc: dict) -> ProblemInstance:

@@ -286,31 +286,66 @@ def is_column_regular(a: TropMatrix) -> bool:
     return bool(np.isfinite(a._data).any(axis=0).all())
 
 
+def walk_table(mats: np.ndarray, starts: np.ndarray, steps: int) -> np.ndarray:
+    """Heaviest walks of 0..steps arcs for a batch of max-plus recursions.
+
+    ``mats`` is (b, d, d) and ``starts`` (b, d); the table T has shape
+    (steps + 1, b, d), with T[0] = starts and
+
+        T[k, i, v] = max_u fl(T[k-1, i, u] + mats[i, u, v]),
+
+    the heaviest walk of k arcs of mats[i] ending at v, weighted from
+    starts[i].  Karp's D table (mats = A, starts = 0), the chain P^k rhs
+    (mats = P^T, starts = rhs) and any row recursion of that shape are one
+    kernel: each step writes all b d^2 sums into one buffer and reduces its
+    middle axis into T[k], a running max over the rows u in order, the
+    schedule of a one-matrix reduction over the leading axis.  So a batch of
+    b recursions of one order costs one step's NumPy calls, not b, and each
+    entry is the max of the same float sums in the same order, to the bit.
+    """
+    b, d = starts.shape
+    table = np.empty((steps + 1, b, d))
+    table[0] = starts
+    sums = np.empty((b, d, d))
+    columns = table[..., None]  # T[k] as (b, d, 1) views
+    for k in range(1, steps + 1):
+        np.add(columns[k - 1], mats, out=sums)
+        np.maximum.reduce(sums, axis=1, out=table[k])
+    return table
+
+
+def max_cycle_mean(walks: np.ndarray) -> TropValue:
+    """Karp's ratio step on a walk table D of shape (n + 1, n) from 0.
+
+    D[k, v] is the heaviest walk of k arcs ending at v (``walk_table`` with
+    zero starts), and rho = max_v min_k (D[n, v] - D[k, v]) / (n - k) over
+    the states with a finite D[n, v].  A walk of n arcs ending at v has a
+    suffix of every shorter length, so each D[k, v] is finite there.  When
+    no D[n, v] is finite the digraph is acyclic and the result is the zero
+    element.
+    """
+    n = walks.shape[1]
+    reach = np.isfinite(walks[n])
+    if not reach.any():
+        return TropValue.zero()
+    denom = (n - np.arange(n)).astype(np.float64)
+    ratios = (walks[n, reach] - walks[:n, reach]) / denom[:, None]
+    return TropValue.from_raw(float(ratios.min(axis=0).max()))
+
+
 def spectral_radius(a: TropMatrix) -> TropValue:
     """Maximum cycle mean of the weighted digraph of a (Karp's algorithm).
 
     Karp's recursion starts from every state at once (a zero-weight virtual
     source with an arc into each state, so all states are reachable and no
     split into strongly connected components is needed): D_0 = 0 and
-    D_k = D_{k-1} A, so D_k(v) is the heaviest walk of k arcs ending at v,
-    and rho = max_v min_k (D_n(v) - D_k(v)) / (n - k) over the states with
-    a finite D_n(v).  A walk of n arcs ending at v has a suffix of every
-    shorter length, so each D_k(v) is finite there.  When no D_n(v) is
-    finite the digraph is acyclic and the result is the zero element.
+    D_k = D_{k-1} A, one ``walk_table`` of n steps, and ``max_cycle_mean``
+    reads rho off it.
     """
     if a.rows != a.cols:
         raise NotSquare(f"spectral radius requires a square matrix, got {a.shape}")
-    w = a._data
-    n = w.shape[0]
-    d = np.zeros((n + 1, n))
-    for k in range(1, n + 1):
-        d[k] = (d[k - 1][:, None] + w).max(axis=0)
-    reach = np.isfinite(d[n])
-    if not reach.any():
-        return TropValue.zero()
-    denom = (n - np.arange(n)).astype(np.float64)
-    ratios = (d[n, reach] - d[:n, reach]) / denom[:, None]
-    return TropValue.from_raw(float(ratios.min(axis=0).max()))
+    n = a.rows
+    return max_cycle_mean(walk_table(a._data[None], np.zeros((1, n)), n)[:, 0])
 
 
 def spectral_radius_via_traces(a: TropMatrix) -> TropValue:

@@ -7,10 +7,12 @@ Both optima come out in closed form, each the join of four term families
 from one routine: stage one is stage two with an empty coupling block (D~
 for the combined conjugate, C as the objective lags, C1 = Q = S = zero).
 The cycle family is the maximum cycle mean of S* R (m >= n) or Q* P, the
-closure read off the stage condition's star (one Karp pass at order
-min(m, n)); in stage one that closure is the identity, and Karp runs on R
-or P itself.  The other three are root-scaled, degree-separated bilinear
-forms.
+closure read off the stage condition's star (Karp at order min(m, n)); in
+stage one that closure is the identity, and Karp runs on R or P itself.
+The other three are root-scaled, degree-separated bilinear forms, read off
+the chains R^k g and P^k q.  Karp's D table and both chains are
+heaviest-walk tables of min(m, n) steps, one ``linalg.walk_table`` per
+order: one batched pass per stage at m == n.
 The full solution set is one star A* acting on parameters w = (u, v)
 ranging over a box: every optimal schedule is z = (x, y) = A* w.  Its at
 most m + n + 1 extreme schedules are the images of the box corners, each
@@ -56,8 +58,9 @@ from .linalg import (
     is_regular,
     mat_add,
     mat_mul,
+    max_cycle_mean,
     scalar_mul,
-    spectral_radius,
+    walk_table,
 )
 from .semiring import TropValue, t_inv, t_join
 
@@ -293,7 +296,9 @@ def mu_term_families(inst: ProblemInstance) -> dict[str, TropValue]:
     Q and S all zero, ``binomial.form_families`` reads each form family off
     the plain chain of powers of R or P, and the cycle family is the
     maximum cycle mean of R or P itself, with no product by the identity
-    closure.
+    closure.  Karp's D table and the two chains are one batched
+    ``linalg.walk_table`` pass when m == n (``eta_term_families`` says how
+    they are grouped otherwise).
     """
     return _term_families(_stage_one(inst), inst.C, inst, _MU_FAMILIES)
 
@@ -363,8 +368,13 @@ def eta_term_families(
 
     The three form families are joins of rooted per-degree forms read off
     two vector tables of the (k, l) triangle, on (R, S, g) and on (P, Q, q),
-    each one call to ``binomial.form_families`` at order min(m, n).  That
-    routine also chooses how to fill the table: the plain P-chain when Q is
+    each one call to ``binomial.form_families`` at order min(m, n).  Karp's
+    D table of the cycle arcs and the tables' pure chains R^k g and P^k q
+    are all heaviest-walk tables of min(m, n) steps, and those of one order
+    are one ``linalg.walk_table`` call: at m == n one batch of three, else
+    Karp's with the chain of order min(m, n), and the larger chain alone.
+    ``form_families`` takes its chain from there, and also chooses how to
+    fill the table: the plain P-chain when Q is
     all zero or when a certificate shows that no walk with a Q-arc reaches
     a family, either a bound from the chain's largest entries with no
     product (every table of ``random_scale_instance``) or else one product;
@@ -395,23 +405,45 @@ def _term_families(
         closure, arcs = star.raw[:n, :n], dm.R
     else:  # Q* P
         closure, arcs = star.raw[n:, n:], dm.P
-    if dm.C1.is_zero_matrix():
-        # Stage one: with no coupling block the closure is the identity, and
-        # I R is R to the bit.  R (or P) holds no -0.0: each of its sums has
-        # a term of D~, which ``conjugate`` leaves without -0.0, and a float
-        # sum is -0.0 only when both terms are.
-        cycle = spectral_radius(arcs)
-    else:
-        cycle = spectral_radius(mat_mul(TropMatrix._wrap(closure), arcs))
+    # In stage one, with no coupling block, the closure is the identity, and
+    # I R is R to the bit, so no product is taken.  R (or P) holds no -0.0:
+    # each of its sums has a term of D~, which ``conjugate`` leaves without
+    # -0.0, and a float sum is -0.0 only when both terms are.
+    if not dm.C1.is_zero_matrix():
+        arcs = mat_mul(TropMatrix._wrap(closure), arcs)
+
+    # The stage's three walk recursions of k_max steps: Karp's D table of the
+    # cycle arcs from 0, and the chains R^k g and P^k q, on the rows of R^T
+    # and P^T.  Those of one order share one ``walk_table`` call: all three
+    # at m == n, else the two of order min(m, n), and the larger chain alone.
+    orders = (k_max, n, inst.m)
+    sources = (
+        (arcs.raw, 0.0),
+        (dm.R.raw.T, inst.g.raw[:, 0]),
+        (dm.P.raw.T, inst.q.raw[:, 0]),
+    )
+    walks = [None] * 3
+    for order in set(orders):
+        batch = [i for i in range(3) if orders[i] == order]
+        mats = np.empty((len(batch), order, order))
+        starts = np.empty((len(batch), order))
+        for j, i in enumerate(batch):
+            mats[j], starts[j] = sources[i]
+        table = walk_table(mats, starts, k_max)
+        for j, i in enumerate(batch):
+            walks[i] = table[:, j]
+    cycle = max_cycle_mean(walks[0])
 
     lhs_g = mat_add(mat_mul(rc, dm.C1), hc)  # 1 x n
     lhs_q = mat_add(mat_mul(hc, dm.D1conj), rc)  # 1 x m
     lhs_a = mat_mul(rc, lags)  # 1 x n
     # The release and lateness families contract the same (R, S, g) table.
     release, lateness = form_families(
-        dm.R, dm.S, inst.g, ((lhs_g, 0), (lhs_a, 1)), k_max
+        dm.R, dm.S, inst.g, ((lhs_g, 0), (lhs_a, 1)), k_max, chain=walks[1]
     )
-    (deadline,) = form_families(dm.P, dm.Q, inst.q, ((lhs_q, 0),), k_max)
+    (deadline,) = form_families(
+        dm.P, dm.Q, inst.q, ((lhs_q, 0),), k_max, chain=walks[2]
+    )
     return dict(zip(names, (cycle, release, deadline, lateness)))
 
 

@@ -130,6 +130,65 @@ def test_parse_reports_first_bad_entry_of_mixed_row():
     )
 
 
+def _with(doc, field, row, col, value):
+    # A copy of doc with entry (row, col) of a matrix field, or entry col of
+    # a vector field (row None), set to value; a value of None at col None
+    # drops the row's last entry.
+    doc = json.loads(json.dumps(doc))
+    target = doc[field] if row is None else doc[field][row]
+    if col is None:
+        target.pop()
+    else:
+        target[col] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ([("A", 3, None, None)], "field 'A', row 3: expected 7 entries"),
+        (
+            [("B", 2, 5, True)],
+            "field 'B', row 2, column 5: entry must be a number or null, got True",
+        ),
+        (
+            [("C", 1, 1, None), ("C", 4, 1, float("nan"))],
+            "field 'C', row 4, column 1: entry is not a finite float",
+        ),
+        ([("D", 4, 6, 10**400)], "field 'D', row 4, column 6: entry is not a finite float"),
+        (
+            [("A", 3, 2, 1e301)],
+            "field 'A', row 3, column 2: entry exceeds 1e+300 in magnitude",
+        ),
+        ([("q", None, 3, float("nan"))], "field 'q', index 3: entry is not a finite float"),
+        ([("g", None, 6, -(10**400))], "field 'g', index 6: entry is not a finite float"),
+        (
+            [("r", None, 2, False)],
+            "field 'r', index 2: entry must be a number or null, got False",
+        ),
+        # The first fault in row order, whichever check finds it.
+        (
+            [("B", 1, 2, "x"), ("B", 3, None, None)],
+            "field 'B', row 1, column 2: entry must be a number or null, got 'x'",
+        ),
+        ([("B", 1, None, None), ("B", 3, 2, "x")], "field 'B', row 1: expected 7 entries"),
+        (
+            [("D", 1, 2, 10**400), ("D", 3, 1, True)],
+            "field 'D', row 3, column 1: entry must be a number or null, got True",
+        ),
+    ],
+)
+def test_parse_reports_faults_past_row_0(edits, message):
+    # Faults after valid rows get the message of the per-row walk, which
+    # names the first of them.
+    doc = instance_to_dict(random_feasible_instance(np.random.default_rng(5), 5, 7))
+    for edit in edits:
+        doc = _with(doc, *edit)
+    with pytest.raises(ParseError) as exc_info:
+        instance_from_dict(doc)
+    assert str(exc_info.value) == message
+
+
 def _old_rows(data):
     # The per-entry conversion that to_rows replaces.
     return [[None if x == NEG_INF else x for x in row] for row in data.tolist()]

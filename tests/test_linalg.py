@@ -41,11 +41,13 @@ from tropsched.linalg import (
     mat_add,
     mat_mul,
     mat_pow,
+    max_cycle_mean,
     scalar_mul,
     spectral_radius,
     spectral_radius_via_traces,
     trace,
     trace_function,
+    walk_table,
 )
 from tropsched.scheduler import solve
 from tropsched.semiring import ZERO, TropValue, t_inv
@@ -359,6 +361,90 @@ def test_karp_agrees_with_trace_formula(rng):
         if np.array_equal(w, np.round(w)):
             exact = _exact_cycle_mean(a)
             assert k.raw == (NEG_INF if exact is None else float(exact))
+
+
+def _karp_loop(w):
+    # Karp's D table as spectral_radius summed it: one row reduction a step.
+    n = w.shape[0]
+    d = np.zeros((n + 1, n))
+    for k in range(1, n + 1):
+        d[k] = (d[k - 1][:, None] + w).max(axis=0)
+    return d
+
+
+def _chain_loop(p_mat, rhs, p):
+    # P^k rhs as form_families summed it: a reduction over the leading axis of P^T.
+    p_t = p_mat.T.copy()
+    chain = np.empty((p + 1, len(rhs)))
+    chain[0] = rhs
+    for k in range(1, p + 1):
+        chain[k] = (p_t + chain[k - 1][:, None]).max(axis=0)
+    return chain
+
+
+def _completion_loop(hops, tails, p):
+    # Tier 2's completion table U as form_families summed it.
+    table = np.empty((p + 1,) + tails.shape)
+    table[0] = tails
+    for r in range(1, p + 1):
+        table[r] = (table[r - 1][:, :, None] + hops).max(axis=1)
+    return table
+
+
+def _signed_raw(rng, shape):
+    # Thirds, small integers, +-0.0 and the zero element, so that many
+    # columns top out at a tie of -0.0 and 0.0, where the order of a max
+    # decides the sign.
+    choices = np.array([NEG_INF, -0.0, -0.0, 0.0, -1.0, 1.0, 1 / 3, -2 / 3])
+    return rng.choice(choices, size=shape)
+
+
+def test_walk_table_matches_the_loops_it_replaces(rng):
+    # Bit for bit (compared as bytes, so -0.0 and 0.0 differ) against
+    # Karp's D table, the chain P^k rhs and tier 2's completions U.
+    for _ in range(150):
+        b, d, steps = int(rng.integers(1, 4)), int(rng.integers(1, 7)), int(rng.integers(0, 7))
+        mats = _signed_raw(rng, (b, d, d))
+        starts = _signed_raw(rng, (b, d))
+        starts[int(rng.integers(b))] = NEG_INF  # an all-zero start row
+        table = walk_table(mats, starts, steps)
+        assert table.shape == (steps + 1, b, d)
+        assert table.tobytes() == _completion_loop(mats, starts, steps).tobytes()
+        for i in range(b):
+            chain = walk_table(np.ascontiguousarray(mats[i].T)[None], starts[i, None], steps)
+            assert chain[:, 0].tobytes() == _chain_loop(mats[i], starts[i], steps).tobytes()
+        karp = walk_table(mats, np.zeros((b, d)), d)
+        for i in range(b):
+            assert karp[:, i].tobytes() == _karp_loop(mats[i]).tobytes()
+            assert max_cycle_mean(karp[:, i]) == spectral_radius(TropMatrix(mats[i]))
+
+
+@pytest.mark.parametrize(
+    "m, n, expected",
+    [
+        (40, 40, [(3, 40), (3, 40)]),
+        (10, 100, [(1, 100), (1, 100), (2, 10), (2, 10)]),
+        (100, 10, [(1, 100), (1, 100), (2, 10), (2, 10)]),
+    ],
+)
+def test_solve_walk_table_batches(monkeypatch, m, n, expected):
+    # Each stage runs its walk recursions of one order in one walk_table
+    # call: Karp's and both chains at m == n, else Karp's with the chain of
+    # order min(m, n), and the larger chain alone.  Both stage-two tables
+    # are certified by the chain bound, so no completion table is built.
+    # Records (batch, order) of every call, from whichever module makes it.
+    real, calls = linalg.walk_table, []
+
+    def counting(mats, starts, steps):
+        calls.append(mats.shape[:2])
+        return real(mats, starts, steps)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tropsched") and getattr(module, "walk_table", None) is real:
+            monkeypatch.setattr(module, "walk_table", counting)
+    inst = random_scale_instance(np.random.default_rng(0), m, n)
+    assert solve(inst).status == "optimal"
+    assert sorted(calls) == expected
 
 
 def test_package_import_loads_no_scipy():

@@ -74,12 +74,16 @@ def fill_rows(products) -> list[int]:
 
 @contextlib.contextmanager
 def recording_tables():
-    """(arguments, families) of every ``form_families`` call of the scheduler."""
+    """(arguments, families) of every ``form_families`` call of the scheduler.
+
+    The recorded arguments are (P, Q, rhs, forms, p); the chain the scheduler
+    passes by keyword is passed through and not recorded.
+    """
     calls = []
     real = scheduler.form_families
 
-    def recording(*args):
-        got = real(*args)
+    def recording(*args, **kwargs):
+        got = real(*args, **kwargs)
         calls.append((args, got))
         return got
 
