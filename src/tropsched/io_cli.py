@@ -12,9 +12,12 @@ Reports and instance files share one writer, ``dumps_report``.  For every
 JSON document (objects keyed by strings) its text is exactly that of
 ``json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) +
 "\n"``.  With an indent set, json runs its pure-Python encoder, so the
-writer encodes each list compactly with json's C encoder and lays the
-text out itself when the list is a row of scalars or a matrix of such
-rows; only dicts and other lists are walked in Python.
+writer lays the text out itself.  A matrix that ``instance_to_dict`` or
+``report_to_dict`` built keeps its array beside its rows; from
+``_TABLE_MIN_ENTRIES`` entries up the writer turns each distinct value of
+the array into text once, then indexes those words back over the array.
+Smaller matrices and other rows of scalars are encoded compactly with
+json's C encoder; dicts and other lists are walked in Python.
 
 Exit codes: 0 solved feasible, 2 infeasible, 3 invalid input or usage
 error, 4 internal consistency failure, 5 oracle disagreement.  Every
@@ -191,7 +194,7 @@ def parse_instance(path: str) -> ProblemInstance:
 def instance_to_dict(inst: ProblemInstance) -> dict:
     doc: dict[str, Any] = {"m": inst.m, "n": inst.n}
     for name in _INSTANCE_MATRIX_FIELDS:
-        doc[name] = getattr(inst, name).to_rows()
+        doc[name] = _ArrayRows.of(getattr(inst, name))
     for name in _INSTANCE_VECTOR_FIELDS:
         doc[name] = _vector_to_list(getattr(inst, name))
     return doc
@@ -203,6 +206,20 @@ def write_instance(inst: ProblemInstance, path: str) -> None:
 
 
 # -- report serialization --------------------------------------------------------
+
+
+class _ArrayRows(list):
+    # A matrix's rows as nested lists, None for the zero element, which also
+    # keep the matrix's array: the writer lays the text out from the array.
+    # It compares equal to the plain rows.  Edited rows would be written as
+    # the array holds them, so a caller that edits a matrix edits a copy.
+    __slots__ = ("array",)
+
+    @classmethod
+    def of(cls, mat: TropMatrix) -> "_ArrayRows":
+        rows = cls(mat.to_rows())
+        rows.array = mat.raw
+        return rows
 
 
 def _value_to_json(v: TropValue | None) -> float | None:
@@ -278,8 +295,8 @@ def report_to_dict(
                     "upper": _vector_to_list(s2.v_upper),
                 },
                 "generators": {
-                    "x": s2.x_generator.to_rows(),
-                    "y": s2.y_generator.to_rows(),
+                    "x": _ArrayRows.of(s2.x_generator),
+                    "y": _ArrayRows.of(s2.y_generator),
                 },
             }
             doc["extreme_points"] = [_solution_to_dict(p) for p in report.extreme]
@@ -302,6 +319,31 @@ def _row(body: str, newline: str) -> str:
     return "[" + inner + body.replace(",", "," + inner) + newline + "]"
 
 
+# Below this many entries a matrix is encoded entry by entry in json's C
+# encoder: the value table has a fixed cost, most of it np.unique, of about
+# 9 us (a 2x2 matrix takes 3 us in the C encoder), and it breaks even near
+# 8x8 when the values repeat.
+_TABLE_MIN_ENTRIES = 64
+
+
+def _matrix_rows(rows: _ArrayRows, newline: str) -> list[str]:
+    # The indent=1 text of each row of rows, closed at newline.
+    array = rows.array
+    if array.size < _TABLE_MIN_ENTRIES:
+        return [_row(body, newline) for body in _COMPACT.encode(rows)[2:-2].split("],[")]
+    # Each distinct bit pattern (so -0.0 and 0.0 stay apart) is turned into
+    # text once, as json writes it, and the words are indexed back over
+    # the array.
+    table, index = np.unique(array.view(np.int64), return_inverse=True)
+    words = np.array(
+        ["null" if x == _NEG_INF else repr(x) for x in table.view(np.float64).tolist()],
+        dtype=object,
+    )
+    inner = newline + " "
+    head, cell, tail = "[" + inner, "," + inner, newline + "]"
+    return [head + cell.join(row) + tail for row in words[index.reshape(array.shape)].tolist()]
+
+
 def _layout(value: Any, newline: str, out: list[str]) -> None:
     # Append the indent=1 text of value; newline is "\n" and the indent of
     # the line that closes value.
@@ -317,6 +359,9 @@ def _layout(value: Any, newline: str, out: list[str]) -> None:
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(value, (list, tuple)):
+        if type(value) is _ArrayRows:
+            out.append("[" + inner + ("," + inner).join(_matrix_rows(value, inner)) + newline + "]")
+            return
         if not value:
             out.append("[]")
             return
@@ -325,20 +370,9 @@ def _layout(value: Any, newline: str, out: list[str]) -> None:
         # every comma and bracket is structural.
         if not isinstance(value[0], dict):
             text = _COMPACT.encode(value)
-            if '"' not in text and "{" not in text:
-                if text.find("[", 1) < 0:  # a row of scalars
-                    out.append(_row(text[1:-1], newline))
-                    return
-                rows = text[2:-2].split("],[")
-                if (
-                    text.startswith("[[")
-                    and text.endswith("]]")
-                    and "[]" not in text
-                    and text.count("[") == len(rows) + 1
-                ):  # a matrix of non-empty scalar rows
-                    laid = ("," + inner).join([_row(row, inner) for row in rows])
-                    out.append("[" + inner + laid + newline + "]")
-                    return
+            if '"' not in text and "{" not in text and text.find("[", 1) < 0:
+                out.append(_row(text[1:-1], newline))  # a row of scalars
+                return
         sep = "[" + inner
         for item in value:
             out.append(sep)
@@ -351,7 +385,9 @@ def _layout(value: Any, newline: str, out: list[str]) -> None:
 
 def dumps_report(doc: dict) -> str:
     """The text of json.dumps(doc, sort_keys=True, separators=(",", ": "),
-    indent=1) plus a newline, with per-entry work done in json's C encoder."""
+    indent=1) plus a newline.  Large matrices from instance_to_dict and
+    report_to_dict are written from their arrays, each distinct value
+    encoded once; other rows of scalars go through json's C encoder."""
     out: list[str] = []
     _layout(doc, "\n", out)
     out.append("\n")

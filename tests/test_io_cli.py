@@ -1,14 +1,17 @@
 import json
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from conftest import FIXTURES, NEG_INF
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tropsched as ts
+from tropsched import io_cli
 from tropsched.errors import InvalidInstance, ParseError
 from tropsched.io_cli import (
+    _ArrayRows,
     _vector_to_list,
     dumps_report,
     instance_from_dict,
@@ -610,6 +613,45 @@ def test_writer_matches_stdlib_examples(doc):
     assert dumps_report(doc) == _stdlib_text(doc)
 
 
+# Entries a TropMatrix can hold: -inf is the zero element, written null.
+_matrix_entries = st.one_of(
+    st.sampled_from([x for x in _SPECIAL_FLOATS if x == x and x != float("inf")]),
+    st.integers(-3000, 3000).map(lambda k: k / 3),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_DISTINCT = np.random.default_rng(0).uniform(-1e9, 1e9, 120 * 120).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 7), st.integers(1, 7)) | st.just((120, 120)),
+    values=st.lists(_matrix_entries, min_size=1, max_size=49),
+    block=st.sampled_from([None, "x", "y"]),
+)
+@example(shape=(2, 3), values=[0.0, -0.0, 1.0], block=None)
+@example(shape=(9, 9), values=[-0.0, 0.0], block="y")
+@example(shape=(3, 2), values=[float("-inf")], block=None)
+@example(shape=(120, 120), values=[float("-inf")], block="x")
+@example(shape=(120, 120), values=_DISTINCT, block="y")
+def test_array_rows_match_stdlib(shape, values, block):
+    # values, repeated in order, fill the matrix; block places it as a
+    # diagonal block of a larger array, which is how x_generator (the
+    # leading block) and y_generator (the trailing one) are stored.
+    data = np.resize(np.array(values), shape)
+    if block is not None:
+        rows, cols = shape
+        star = np.full((rows + 3, cols + 3), 2.5)
+        view = star[:rows, :cols] if block == "x" else star[3:, 3:]
+        view[...] = data
+        data = view
+    matrix = TropMatrix._wrap(data)
+    expected = _stdlib_text({"k": matrix.to_rows()})
+    # Both the per-entry path and the value table, whatever the size.
+    for threshold in (0, io_cli._TABLE_MIN_ENTRIES, data.size + 1):
+        with patch.object(io_cli, "_TABLE_MIN_ENTRIES", threshold):
+            assert dumps_report({"k": _ArrayRows.of(matrix)}) == expected
+
+
 def test_writer_rejects_what_stdlib_rejects():
     for doc in ({(1, 2): 3}, {"a": object()}, [1, object()]):
         with pytest.raises(TypeError):
@@ -634,7 +676,10 @@ def test_cli_reports_match_stdlib_writer(tmp_path, capsys):
         for m in range(1, 7)
         for n in range(1, 7)
     ]
-    cases += [random_scale_instance(rng, m, n) for m, n in ((1, 60), (60, 1), (10, 100))]
+    cases += [
+        random_scale_instance(rng, m, n)
+        for m, n in ((1, 60), (60, 1), (10, 100), (100, 10), (40, 40))
+    ]
     src, out = tmp_path / "instance.json", tmp_path / "report.json"
     for inst in cases:
         for data in (inst, _thirds(inst)):
