@@ -13,11 +13,13 @@ JSON document (objects keyed by strings) its text is exactly that of
 ``json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) +
 "\n"``.  With an indent set, json runs its pure-Python encoder, so the
 writer lays the text out itself.  A matrix that ``instance_to_dict`` or
-``report_to_dict`` built keeps its array beside its rows; from
-``_TABLE_MIN_ENTRIES`` entries up the writer turns each distinct value of
-the array into text once, then indexes those words back over the array.
-Smaller matrices and other rows of scalars are encoded compactly with
-json's C encoder; dicts and other lists are walked in Python.
+``report_to_dict`` built keeps its array beside its rows, and a report's
+extreme points keep one block of their values beside their dicts, a
+column [objective; x; y] per point.  From ``_TABLE_MIN_ENTRIES`` entries
+up the writer turns each distinct value of such an array into text once,
+then indexes those words back over the array.  Smaller arrays and other
+rows of scalars are encoded compactly with json's C encoder; dicts and
+other lists are walked in Python.
 
 Exit codes: 0 solved feasible, 2 infeasible, 3 invalid input or usage
 error, 4 internal consistency failure, 5 oracle disagreement.  Every
@@ -222,17 +224,51 @@ class _ArrayRows(list):
         return rows
 
 
+class _PointRows(list):
+    # Schedules' dicts {"x", "y", "objective"}, None for the zero element,
+    # which also keep their values as one (1 + n + m) x k block: column j
+    # is [objective; x; y] of schedule j, the order in which the writer
+    # lays out its sorted keys.  It compares equal to the plain list of
+    # dicts; like _ArrayRows, a caller that edits a point edits a copy.
+    __slots__ = ("block", "n")
+
+    @classmethod
+    def of(cls, points: list[ScheduleSolution]) -> "_PointRows":
+        if not points:
+            rows = cls()
+            rows.block, rows.n = np.empty((1, 0)), 0
+            return rows
+        n, m = points[0].x.rows, points[0].y.rows
+        xy = np.concatenate([a for p in points for a in (p.x.raw, p.y.raw)])
+        by_point = np.empty((len(points), 1 + n + m))
+        by_point[:, 0] = [p.objective.raw for p in points]
+        by_point[:, 1:] = xy.reshape(len(points), n + m)
+        block = by_point.T
+        objectives = block[0].tolist()
+        xs, ys = block[1 : 1 + n].T.tolist(), block[1 + n :].T.tolist()
+        if (by_point == _NEG_INF).any():
+            objectives = _nulls(objectives)
+            xs, ys = [_nulls(x) for x in xs], [_nulls(y) for y in ys]
+        rows = cls({"x": x, "y": y, "objective": o} for x, y, o in zip(xs, ys, objectives))
+        rows.block, rows.n = block, n
+        return rows
+
+
 def _value_to_json(v: TropValue | None) -> float | None:
     if v is None or v.is_zero:
         return None
     return v.value
 
 
+def _nulls(values: list[float]) -> list[float | None]:
+    return [None if x == _NEG_INF else x for x in values]
+
+
 def _vector_to_list(v: TropMatrix) -> list[float | None]:
     column = v.raw[:, 0]
     values = column.tolist()
     if (column == _NEG_INF).any():
-        values = [None if x == _NEG_INF else x for x in values]
+        values = _nulls(values)
     return values
 
 
@@ -299,7 +335,7 @@ def report_to_dict(
                     "y": _ArrayRows.of(s2.y_generator),
                 },
             }
-            doc["extreme_points"] = [_solution_to_dict(p) for p in report.extreme]
+            doc["extreme_points"] = _PointRows.of(report.extreme)
     if verification is not None:
         doc["verification"] = verification
     if samples is not None:
@@ -326,22 +362,41 @@ def _row(body: str, newline: str) -> str:
 _TABLE_MIN_ENTRIES = 64
 
 
-def _matrix_rows(rows: _ArrayRows, newline: str) -> list[str]:
-    # The indent=1 text of each row of rows, closed at newline.
-    array = rows.array
-    if array.size < _TABLE_MIN_ENTRIES:
-        return [_row(body, newline) for body in _COMPACT.encode(rows)[2:-2].split("],[")]
-    # Each distinct bit pattern (so -0.0 and 0.0 stay apart) is turned into
-    # text once, as json writes it, and the words are indexed back over
-    # the array.
+def _words(array: np.ndarray) -> np.ndarray:
+    # The json text of each entry of a 2-D array, as an object array of its
+    # shape.  Each distinct bit pattern (so -0.0 and 0.0 stay apart) is
+    # turned into text once, and the words are indexed back over the array.
     table, index = np.unique(array.view(np.int64), return_inverse=True)
     words = np.array(
         ["null" if x == _NEG_INF else repr(x) for x in table.view(np.float64).tolist()],
         dtype=object,
     )
+    return words[index.reshape(array.shape)]
+
+
+def _matrix_rows(rows: _ArrayRows, newline: str) -> list[str]:
+    # The indent=1 text of each row of rows, closed at newline.
+    array = rows.array
+    if array.size < _TABLE_MIN_ENTRIES:
+        return [_row(body, newline) for body in _COMPACT.encode(rows)[2:-2].split("],[")]
     inner = newline + " "
     head, cell, tail = "[" + inner, "," + inner, newline + "]"
-    return [head + cell.join(row) + tail for row in words[index.reshape(array.shape)].tolist()]
+    return [head + cell.join(row) + tail for row in _words(array).tolist()]
+
+
+def _point_text(points: _PointRows, newline: str) -> str:
+    # The indent=1 text of a list of schedule dicts, closed at newline,
+    # from their block: each point's words in key order, objective, x, y.
+    n = points.n
+    item, key, entry = newline + " ", newline + "  ", newline + "   "
+    head = "{" + key + '"objective": '
+    x_open, cell = "," + key + '"x": [' + entry, "," + entry
+    y_open, tail = key + "]," + key + '"y": [' + entry, key + "]" + item + "}"
+    texts = [
+        head + w[0] + x_open + cell.join(w[1 : 1 + n]) + y_open + cell.join(w[1 + n :]) + tail
+        for w in _words(points.block.T).tolist()
+    ]
+    return "[" + item + ("," + item).join(texts) + newline + "]"
 
 
 def _layout(value: Any, newline: str, out: list[str]) -> None:
@@ -365,6 +420,9 @@ def _layout(value: Any, newline: str, out: list[str]) -> None:
         if not value:
             out.append("[]")
             return
+        if type(value) is _PointRows and value.block.size >= _TABLE_MIN_ENTRIES:
+            out.append(_point_text(value, newline))
+            return
         # A list that opens with an object is walked at once rather than
         # encoded twice.  In compact text with no string or object in it,
         # every comma and bracket is structural.
@@ -386,8 +444,9 @@ def _layout(value: Any, newline: str, out: list[str]) -> None:
 def dumps_report(doc: dict) -> str:
     """The text of json.dumps(doc, sort_keys=True, separators=(",", ": "),
     indent=1) plus a newline.  Large matrices from instance_to_dict and
-    report_to_dict are written from their arrays, each distinct value
-    encoded once; other rows of scalars go through json's C encoder."""
+    report_to_dict, and the extreme points of report_to_dict, are written
+    from their arrays, each distinct value encoded once; other rows of
+    scalars go through json's C encoder."""
     out: list[str] = []
     _layout(doc, "\n", out)
     out.append("\n")

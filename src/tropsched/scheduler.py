@@ -577,6 +577,26 @@ def stage2_solution_check(
     return stage1_solution_check(inst, mu, x, y, slack)
 
 
+def _distinct_points(candidates: np.ndarray) -> np.ndarray:
+    # The rows of candidates (one point each, row-major) that
+    # ``extreme_points`` keeps, in order: a candidate is dropped if its bytes
+    # repeat an earlier one's, or if it lies within 1e-9 in every entry of
+    # a row kept before it.  The kept rows fill a block allocated for every
+    # candidate the byte pass leaves; each candidate is compared with a
+    # view of the rows kept so far.
+    first: dict[bytes, int] = {}
+    for j, point in enumerate(candidates):
+        first.setdefault(point.tobytes(), j)
+    block = np.empty((len(first), candidates.shape[1]))
+    kept = 0
+    for j in first.values():
+        point = candidates[j]
+        if not (np.abs(block[:kept] - point) <= 1e-9).all(axis=1).any():
+            block[kept] = point
+            kept += 1
+    return block[:kept]
+
+
 def extreme_points(
     result: StageTwoResult, inst: ProblemInstance
 ) -> list[ScheduleSolution]:
@@ -595,31 +615,23 @@ def extreme_points(
     candidate being kept unless its (x, y) lies within 1e-9 of an already
     kept one in every entry; exact copies of an earlier candidate go
     first, since one is always dropped.  That leaves at most m + n + 1
-    distinct points, whose objectives are the only ones computed.
+    distinct points, whose objectives are the only ones computed.  The kept
+    points are the rows of one row-major block, in candidate order, and
+    each solution's x and y are views of its row.
     """
     if not result.feasible:
         raise StageTwoInfeasible("no extreme points for an infeasible result")
     x, y = _corner_schedules(result, inst)
-    regular = _regular(x, y)
-    x, y = x[:, regular], y[:, regular]
-    points = np.vstack((x, y))
-    first: dict[bytes, int] = {}
-    for j, column in enumerate(points.T.copy()):
-        first.setdefault(column.tobytes(), j)
-    kept: list[int] = []
-    for j in first.values():
-        diff = np.abs(points[:, kept] - points[:, j, None])
-        if not (diff <= 1e-9).all(axis=0).any():
-            kept.append(j)
-    x, y = x[:, kept], y[:, kept]
-    objective = _objectives(x, y, inst)
+    block = _distinct_points(np.vstack((x, y))[:, _regular(x, y)].T.copy())
+    n = inst.n
+    objective = _objectives(block[:, :n].T, block[:, n:].T, inst)
     return [
         ScheduleSolution(
-            x=TropMatrix._wrap(x[:, j : j + 1]),
-            y=TropMatrix._wrap(y[:, j : j + 1]),
+            x=TropMatrix._wrap(block[j, :n, None]),
+            y=TropMatrix._wrap(block[j, n:, None]),
             objective=TropValue.from_raw(float(objective[j])),
         )
-        for j in range(len(kept))
+        for j in range(len(block))
     ]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +34,18 @@ def rand_raw(rng, rows, cols, density=0.85, lo=-5, hi=5):
 
 def rand_mat(rng, rows, cols, **kwargs) -> TropMatrix:
     return TropMatrix(rand_raw(rng, rows, cols, **kwargs))
+
+
+def with_open_lower_bounds(inst, rng):
+    """inst with zero-element start and due-date lower bounds (no release
+    time) at random, so some box corners have no schedule."""
+
+    def open_some(vec):
+        raw = vec.raw.copy()
+        raw[rng.random(raw.shape) < 0.4] = NEG_INF
+        return TropMatrix(raw)
+
+    return replace(inst, g=open_some(inst.g), q=open_some(inst.q))
 
 
 def zero_cycle_skew(rng, p, q, density=0.8):

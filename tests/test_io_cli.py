@@ -3,7 +3,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from conftest import FIXTURES, NEG_INF
+from conftest import FIXTURES, NEG_INF, with_open_lower_bounds
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +12,8 @@ from tropsched import io_cli
 from tropsched.errors import InvalidInstance, ParseError
 from tropsched.io_cli import (
     _ArrayRows,
+    _PointRows,
+    _solution_to_dict,
     _vector_to_list,
     dumps_report,
     instance_from_dict,
@@ -30,6 +32,8 @@ from tropsched.instances import (
     worked_example,
 )
 from tropsched.linalg import TropMatrix
+from tropsched.scheduler import ScheduleSolution
+from tropsched.semiring import TropValue
 
 
 def test_parse_worked_fixture():
@@ -650,6 +654,55 @@ def test_array_rows_match_stdlib(shape, values, block):
     for threshold in (0, io_cli._TABLE_MIN_ENTRIES, data.size + 1):
         with patch.object(io_cli, "_TABLE_MIN_ENTRIES", threshold):
             assert dumps_report({"k": _ArrayRows.of(matrix)}) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(0, 40), st.integers(1, 120), st.integers(1, 120)),
+    values=st.lists(_matrix_entries, min_size=1, max_size=49),
+)
+@example(shape=(3, 2, 1), values=[0.0, -0.0, 1.0])
+@example(shape=(36, 100, 10), values=[-0.0, 0.0])
+@example(shape=(40, 120, 120), values=[1 / 3])
+@example(shape=(1, 1, 1), values=[float("-inf")])
+@example(shape=(30, 60, 60), values=_DISTINCT[:49])
+def test_point_rows_match_stdlib(shape, values):
+    # values, repeated in order, fill k schedules' [objective; x; y]; the
+    # zero element is allowed anywhere and written null.
+    k, n, m = shape
+    data = np.resize(np.array(values), (k, 1 + n + m))
+    points = [
+        ScheduleSolution(
+            x=TropMatrix._wrap(row[1 : 1 + n, None]),
+            y=TropMatrix._wrap(row[1 + n :, None]),
+            objective=TropValue.from_raw(float(row[0])),
+        )
+        for row in data
+    ]
+    plain = [_solution_to_dict(p) for p in points]
+    rows = _PointRows.of(points)
+    assert rows == plain
+    expected = _stdlib_text({"k": plain})
+    # Both the per-entry walk and the value table, whatever the size.
+    for threshold in (0, io_cli._TABLE_MIN_ENTRIES, data.size + 1):
+        with patch.object(io_cli, "_TABLE_MIN_ENTRIES", threshold):
+            assert dumps_report({"k": rows}) == expected
+
+
+@pytest.mark.parametrize("seed, count", [(42, 0), (144, 0), (2, 1), (23, 1)])
+def test_reports_with_few_extreme_points_match_stdlib(seed, count):
+    rng = np.random.default_rng(seed)
+    m, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    inst = random_feasible_instance(rng, m, n, density=0.5)
+    report = ts.solve(with_open_lower_bounds(inst, rng))
+    assert report.status == "optimal" and len(report.extreme) == count
+    doc = report_to_dict(report)
+    plain = json.loads(json.dumps(doc))
+    assert doc == plain and len(doc["extreme_points"]) == count
+    for threshold in (0, io_cli._TABLE_MIN_ENTRIES):
+        with patch.object(io_cli, "_TABLE_MIN_ENTRIES", threshold):
+            assert dumps_report(doc) == _stdlib_text(plain)
+    assert report_to_text(doc) == report_to_text(plain)
 
 
 def test_writer_rejects_what_stdlib_rejects():

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import FIXTURES, assert_close, rand_mat
+from conftest import FIXTURES, assert_close, rand_mat, with_open_lower_bounds
 
 import tropsched as ts
 from tropsched import inequality, linalg, scheduler
@@ -23,7 +23,7 @@ from tropsched.instances import (
 )
 from tropsched.io_cli import parse_instance
 from tropsched.linalg import TropMatrix, conjugate, is_regular, mat_add, mat_mul, scalar_mul
-from tropsched.scheduler import _corner_schedules, _regular
+from tropsched.scheduler import _corner_schedules, _distinct_points, _regular
 from tropsched.semiring import TropValue, t_inv
 
 
@@ -404,16 +404,6 @@ def _box_corners(result):
     return corners
 
 
-def _with_open_lower_bounds(inst, rng):
-    # Zero-element start and due-date lower bounds (no release time).
-    def open_some(vec):
-        raw = vec.raw.copy()
-        raw[rng.random(raw.shape) < 0.4] = -np.inf
-        return TropMatrix(raw)
-
-    return replace(inst, g=open_some(inst.g), q=open_some(inst.q))
-
-
 def _transformed(inst, thirds, shift):
     # Every lag and bound divided by 3, and the lags and due-date bounds
     # shifted by 1e9 (a shift of y alone: g <= h and q <= r still hold).
@@ -475,7 +465,7 @@ def _extreme_point_cases(rng):
             # Sparse lags leave zero entries in X* u, so open bounds give
             # candidates without a schedule.
             sparse = random_feasible_instance(rng, m, n, density=0.5)
-            inst = _with_open_lower_bounds(sparse, rng)
+            inst = with_open_lower_bounds(sparse, rng)
         thirds, shift = ((True, False), (False, True), (True, True))[i % 3]
         instances += [inst, _transformed(inst, thirds, shift)]
     for m, n in ((4, 15), (15, 4)):
@@ -517,6 +507,50 @@ def test_extreme_points_match_per_candidate_reference(rng):
         sunk += bool((result.u_upper.raw < result.u_lower.raw).any())
     assert shapes == {(True, True), (True, False), (False, True), (False, False)}
     assert irregular > 0 and near > 0 and exact > 0 and sunk > 0
+
+
+def _reference_kept_columns(points):
+    # The deduplication loop of extreme_points before the kept block: each
+    # candidate column against a fresh copy of the kept columns.
+    first = {}
+    for j, column in enumerate(points.T.copy()):
+        first.setdefault(column.tobytes(), j)
+    kept = []
+    for j in first.values():
+        diff = np.abs(points[:, kept] - points[:, j, None])
+        if not (diff <= 1e-9).all(axis=0).any():
+            kept.append(j)
+    return kept
+
+
+def test_distinct_points_match_per_candidate_loop(rng):
+    # Random points with planted exact copies, copies with 0.0 and -0.0
+    # swapped, and copies moved by 2e-10, 1e-9 and 1.1e-9 in some entries;
+    # a plant can copy an earlier plant, so near points also form chains.
+    exact_drops = near_drops = 0
+    for _ in range(300):
+        k, d = int(rng.integers(1, 10)), int(rng.integers(1, 30))
+        scale = rng.choice([1.0, 1e3, 1e9])
+        rows = list(rng.integers(-4, 5, (k, d)) * scale / 3)
+        for _ in range(int(rng.integers(0, 12))):
+            row = rows[int(rng.integers(len(rows)))]
+            kind = rng.integers(3)
+            if kind == 0:
+                rows.append(row.copy())
+            elif kind == 1:
+                rows.append(np.where(row == 0, -row, row))
+            else:
+                step = rng.choice([2e-10, 1e-9, 1.1e-9])
+                rows.append(row + step * rng.integers(-1, 2, d))
+        candidates = np.array(rows)[rng.permutation(len(rows))]
+        kept = _reference_kept_columns(candidates.T)
+        block = _distinct_points(candidates)
+        assert block.shape == (len(kept), d)
+        assert block.tobytes() == candidates[kept].tobytes()
+        distinct = len({row.tobytes() for row in candidates})
+        exact_drops += len(candidates) - distinct
+        near_drops += distinct - len(kept)
+    assert exact_drops > 0 and near_drops > 0
 
 
 def test_corner_schedules_match_materialize(rng):
