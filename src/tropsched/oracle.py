@@ -19,32 +19,30 @@ to per-coordinate bounds are scored as an exact penalty, and the search
 certifies afterwards that the returned point actually satisfies them; see
 the grid-search constants below.
 
-The grid is evaluated in column layout, a block at a time.  A block is
-the product of a lead, M start vectors over the first n - 1 coordinates
-as an (n - 1, M) array, with L values of the last coordinate (a
-one-point last axis gives blocks of L = 1).  Both objectives are max-plus
-forms (a lateness is max_j (a_ij + x_j) - y_i and a due-date cap
-min_j (d_ij + x_j)), so the join over the lead coordinates is the same
-for all L points that share a lead point.  The evaluator
-joins the lead's sums once per lead point, broadcasting the lags against
-the lead and reducing over the short worker axis with the point axis
-contiguous; one broadcast max (a min for the caps) then meets that join
-with the last axis' terms, in C order.  A point costs about
-(rows + m)(1 + (n - 1) / L) sums instead of n (rows + m), and a block a
-fixed handful of NumPy calls however many points it holds.  The maxima
-and minima are exact and taken over the coordinates in the same order,
-so every value is bit for bit that of the per-point sums.  The due-date
-caps of D and B are merged into one matrix, which is exact because
-rounding is monotone (see _StageEvaluator).  Blocks hold at most
-_GRID_CHUNK points, and the search does not depend on where they are cut:
-points come in one fixed order and an incumbent is only replaced by a
-strictly better score.  The search keeps the incumbent's objective,
-violation and due dates from the block that scored it, and certifies the
-returned point by that violation.
+The grid is evaluated a block at a time.  A block is the product of one
+run of points per axis, and the evaluator joins the workers one at a
+time, from the last one back.  Both objectives are max-plus forms (a
+lateness is max_j (a_ij + x_j) - y_i and a due-date cap
+min_j (d_ij + x_j)), so the join over the last workers is shared by
+every point with those coordinates: each earlier worker meets it in one
+broadcast max (a min for the caps), its run varying slowest, so the
+inner loop runs over the contiguous points joined so far.  A block costs
+a fixed handful of NumPy calls per worker however many points it holds.
+The maxima and minima are exact and keep the same one of tied terms as
+the per-point joins (see evaluate), so every value is bit for bit that
+of the per-point sums.  The due-date caps of D and B are merged into
+one matrix, which is exact because rounding is monotone (see
+_StageEvaluator).  Blocks hold at most _GRID_CHUNK points, and the
+search does not depend on where they are cut: points come in one fixed
+order (C order) and an incumbent is only replaced by a strictly better
+score.  The search keeps the incumbent's objective,
+violation and due dates from the block that scored it, and certifies
+the returned point by that violation.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterator, NamedTuple
 
@@ -152,10 +150,12 @@ _MAX_EVALUATIONS = 1e8
 _PENALTY = 100.0
 # Grid points per block.  A refinement window re-grids two old steps on
 # each side of the incumbent at the halved step, so it has up to 9 points
-# per axis, and a 4-axis window (up to 9^4 = 6561 points) spans two blocks.
-# At 4 x 4 in stage two a block's temporaries hold the lead's terms,
-# (n - 1) * 3m * 4096 / L floats (at most 1.125 MiB, for L = 1), and
-# 2m * 4096 floats (0.25 MiB) for the points' rows.
+# per axis, and 5 where the box clips it at the incumbent.  A 4-axis
+# window of up to 9^4 = 6561 points is cut on its first axis into blocks
+# of 5 x 9 x 9 x 9 and 4 x 9 x 9 x 9 points.  Joining worker j builds
+# (rows + m) x P_j floats, P_j the points of the block's runs from j on:
+# at 4 x 4 in stage two (rows + m = 12), 12 x (9, 81, 729, 3645) floats,
+# at most 0.33 MiB, then 2m x 3645 floats (0.22 MiB) for the points' rows.
 _GRID_CHUNK = 4096
 
 
@@ -182,62 +182,44 @@ def _grid_exceeds(lo: np.ndarray, hi: np.ndarray, step: float, limit: float) -> 
     return math.prod((np.floor(np.maximum(hi - lo, 0.0) / step) + 2).tolist()) > limit
 
 
-def _lead_columns(axes: list[np.ndarray], start: int, stop: int) -> np.ndarray:
-    # Points start..stop-1, in C order, of the product of the axes as
-    # (len(axes), stop - start) columns.  No axes give one empty point.
-    shape = tuple(len(ax) for ax in axes)
-    dims = len(axes)
-    if stop - start == math.prod(shape):
-        block = np.empty((dims, *shape))
-        for d, points in enumerate(axes):
-            block[d] = points.reshape((-1,) + (1,) * (dims - d - 1))
-        return block.reshape(dims, stop - start)
-    idx = np.unravel_index(np.arange(start, stop), shape)
-    return np.stack([ax[i] for ax, i in zip(axes, idx)])
+def _iter_grid(lo: list[float], hi: list[float], step: float) -> Iterator[list[np.ndarray]]:
+    """The grid on the box [lo, hi] as blocks, each a list of one run per axis.
 
-
-def _iter_grid(
-    lo: list[float], hi: list[float], step: float
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The grid on the box [lo, hi] as (lead, last) blocks.
-
-    A block is the product of lead, the first dims - 1 coordinates as
-    (dims - 1, M) columns, with last, a run of L points of the last axis;
-    _StageEvaluator.evaluate takes it as is.  Points come in C order (the
-    last axis varies fastest) and blocks hold at most _GRID_CHUNK of them:
-    runs of lead points times the whole last axis, or one lead point times
-    a run of the last axis when that axis alone is longer.
+    A block is the product of its runs, which _StageEvaluator.evaluate takes
+    as is.  The trailing axes stay whole while their product fits in
+    _GRID_CHUNK; the axis before them is cut into runs, once per point of
+    the axes before it, which are one-point runs.  So blocks hold at most
+    _GRID_CHUNK points, and blocks and the points in them come in C order
+    (the last axis varies fastest).
     """
     axes = [_axis_points(a, b, step) for a, b in zip(lo, hi)]
-    last = axes.pop()
-    width = min(len(last), _GRID_CHUNK)
-    size = _GRID_CHUNK // width
-    total = math.prod(len(ax) for ax in axes)
-    for start in range(0, total, size):
-        lead = _lead_columns(axes, start, min(total, start + size))
-        for cut in range(0, len(last), width):
-            yield lead, last[cut : cut + width]
+    cut, size = len(axes) - 1, 1
+    while cut and size * len(axes[cut]) <= _GRID_CHUNK:
+        size *= len(axes[cut])
+        cut -= 1
+    width = _GRID_CHUNK // size
+    for head in itertools.product(*(range(len(ax)) for ax in axes[:cut])):
+        runs = [ax[i : i + 1] for ax, i in zip(axes, head)]
+        for start in range(0, len(axes[cut]), width):
+            yield runs + [axes[cut][start : start + width]] + axes[cut + 1 :]
 
 
 class _StageEvaluator:
     """Vectorised objective/feasibility on grid blocks of start times.
 
-    A block is a lead of start columns times a run of the last coordinate
-    (see evaluate).  The lags and the due-date caps are stacked per worker
-    as (n, rows + m, 1, 1), so that one broadcast sum per part gives every
-    max-plus term: (n - 1, rows + m, M, 1) for the lead's M columns, the
-    short worker axis first and the point axis contiguous, and
-    (rows + m, 1, L) for the last axis.  The due-date caps from D and (in
-    stage two) B are merged into one matrix min(D, B), +inf for absent
-    lags.  That is exact: rounding is monotone, so
-    min(fl(a + s), fl(b + s)) == fl(min(a, b) + s).  The objective lags and
-    the coupled lags C - mu of stage two share the lag rows.
+    Each worker has a column of lag terms and a column of due-date cap
+    terms, stacked as terms[j] of shape (rows + m, 1); evaluate joins them
+    one worker at a time.  The due-date caps from D and (in stage two) B
+    are merged into one matrix min(D, B), +inf for absent lags.  That is
+    exact: rounding is monotone, so min(fl(a + s), fl(b + s)) ==
+    fl(min(a, b) + s).  The objective lags and the coupled lags C - mu of
+    stage two share the lag rows.
     """
 
     def __init__(self, inst: ProblemInstance, mu: float | None):
         self.m = inst.m
         self.q = inst.q.raw
-        self.r = inst.r.raw[:, :, None]
+        self.r = inst.r.raw
         self.h = inst.h.raw[:, 0]
         caps = np.where(np.isfinite(inst.D.raw), inst.D.raw, np.inf)
         if mu is None:
@@ -247,8 +229,7 @@ class _StageEvaluator:
             # Objective lags A, then the coupled lags (-inf entries stay -inf).
             lags = np.vstack([inst.A.raw, inst.C.raw - mu])
         self.rows = len(lags)
-        terms = np.vstack([lags, caps]).T[:, :, None, None]
-        self.lead_terms, self.last_terms = terms[:-1], terms[-1]
+        self.terms = np.vstack([lags, caps]).T[:, :, None]
         # Necessary per-coordinate lower bounds on start times: every
         # finite lag must leave room for the earliest finish time q (an
         # absent lag's +inf cap contributes -inf).
@@ -258,53 +239,34 @@ class _StageEvaluator:
         return self.start_lower, self.h
 
     def box_feasible(self) -> bool:
-        if not (self.q <= self.r[:, :, 0] + _FEAS_SLACK).all():
+        if not (self.q <= self.r + _FEAS_SLACK).all():
             return False
         return bool((self.start_lower <= self.h + _FEAS_SLACK).all())
 
-    def _join(self, lead: np.ndarray, last: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # The lagged maxima (rows x P) and the largest admissible due dates
-        # (m x P) at the P points lead x last, in C order.  Each is one
-        # exact max (or min) over d = 0..n-1 in that order: the lead's terms
-        # are joined once per lead point (one lead coordinate needs no
-        # reduction), and that join meets the last axis' terms in one
-        # broadcast.  NumPy's maximum and minimum return their second
-        # argument on ties (which decides the sign of a zero result), as the
-        # reductions do at each step, so regrouping the sequence changes no
-        # bit.  r closes the sequence of caps, so it meets the last axis'
-        # terms, before the broadcast.  The lead's sums are released before
-        # the broadcast allocates the block's rows.
-        rows = self.rows
-        if len(lead):
-            sums = self.lead_terms + lead[:, None, :, None]
-            if len(sums) == 1:
-                lagged, capped = sums[0, :rows], sums[0, rows:]
-            else:
-                lagged = np.maximum.reduce(sums[:, :rows], axis=0)
-                capped = np.minimum.reduce(sums[:, rows:], axis=0)
-        sums = self.last_terms + last
-        capped_last = np.minimum(sums[rows:], self.r)
-        if len(lead):
-            lagged = np.maximum(lagged, sums[:rows])
-            capped = np.minimum(capped, capped_last)
-        else:
-            lagged, capped = sums[:rows], capped_last
-        return lagged.reshape(rows, -1), capped.reshape(self.m, -1)
+    def evaluate(self, block: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(objective, violation, due-date caps) at the points of a block.
 
-    def evaluate(
-        self, lead: np.ndarray, last: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(objective, violation, due-date caps) at the points lead x last.
-
-        lead holds the first n - 1 coordinates of start columns (n - 1 x M)
-        and last the L values of the last coordinate, for M * L points in C
-        order.  The violation is how far the due-date lower bounds exceed
-        their caps; zero means the point is feasible.  The caps (m x M * L)
-        are the largest admissible due dates.
+        block holds one run of start times per worker, and its P points are
+        the product of the runs in C order.  The last worker's sums give the
+        lagged maxima (rows x L) at its L points, and, met with r, the caps
+        (m x L); each earlier worker's sums meet them in one broadcast max (a
+        min for the caps), its run varying slowest.  The per-point joins
+        take the workers in order and then r, and keep a later equal term on
+        a tie (which decides the sign of a zero).  Here the join so far,
+        made of the later terms, is always the second argument, which NumPy's
+        maximum and minimum return on ties, so every value is that of the
+        per-point joins bit for bit.  The violation is how far the due-date
+        lower bounds exceed their caps; zero means the point is feasible.
+        The caps (m x P) are the largest admissible due dates.
         """
-        lagged, due_cap = self._join(lead, last)
-        m = self.m
-        if self.rows == m:
+        rows, m = self.rows, self.m
+        sums = self.terms[-1] + block[-1]
+        lagged, due_cap = sums[:rows], np.minimum(sums[rows:], self.r)
+        for terms, run in zip(self.terms[-2::-1], block[-2::-1]):
+            sums = (terms + run)[:, :, None]
+            lagged = np.maximum(sums[:rows], lagged[:, None]).reshape(rows, -1)
+            due_cap = np.minimum(sums[rows:], due_cap[:, None]).reshape(m, -1)
+        if rows == m:
             objective = np.maximum.reduce(lagged - due_cap, axis=0)
             excess = np.maximum.reduce(self.q - due_cap, axis=0)
         else:
@@ -338,14 +300,14 @@ def _grid_search(ev: _StageEvaluator) -> GridSearchResult:
     history: list[float] = []
     win_lo, win_hi = lo, hi
     for _ in range(_REFINEMENT_ROUNDS + 1):
-        for lead, last in _iter_grid(win_lo, win_hi, step):
-            objective, violation, due_cap = ev.evaluate(lead, last)
+        for block in _iter_grid(win_lo, win_hi, step):
+            objective, violation, due_cap = ev.evaluate(block)
             score = objective + _PENALTY * violation
             i = int(score.argmin())
             if score[i] < best_score:
                 best_score = float(score[i])
-                k, j = divmod(i, len(last))
-                best_pt = lead[:, k].tolist() + [float(last[j])]
+                point = np.unravel_index(i, [len(run) for run in block])
+                best_pt = [float(run[k]) for run, k in zip(block, point)]
                 best_objective, best_violation = float(objective[i]), float(violation[i])
                 best_due = due_cap[:, i].tolist()
         history.append(best_score)

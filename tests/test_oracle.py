@@ -235,11 +235,12 @@ def _hex(values):
 
 
 def _zero_heavy_instance(rng, m, n):
-    # Lags in {-1, -0.0, 0.0, 1} (B and D with holes) and signed zeros for
-    # q and r: most joins and differences are ties between zeros of both
-    # signs.
+    # Lags in {-1, -0.0, 0.0, 1} (B and D with holes), q in {-0.0, 0.0} and
+    # r in {-0.0, 0.0, 1}: most joins and differences are ties between zeros
+    # of both signs, and where r is 1 the sign of a zero cap that the
+    # workers' terms decided is kept.
     lags = np.array([-1.0, -0.0, 0.0, 1.0, NEG_INF])
-    zeros = np.array([-0.0, 0.0])
+    ends = np.array([-0.0, 0.0, 1.0])
     return ts.ProblemInstance(
         m=m,
         n=n,
@@ -247,8 +248,8 @@ def _zero_heavy_instance(rng, m, n):
         **{name: TropMatrix(rng.choice(lags, (m, n))) for name in "BD"},
         g=TropMatrix.column(np.full(n, -1.0)),
         h=TropMatrix.column(np.ones(n)),
-        q=TropMatrix.column(rng.choice(zeros, m)),
-        r=TropMatrix.column(rng.choice(zeros, m)),
+        q=TropMatrix.column(rng.choice(ends[:2], m)),
+        r=TropMatrix.column(rng.choice(ends, m)),
     )
 
 
@@ -273,18 +274,19 @@ def _evaluator_cases(rng, shapes):
 
 
 def _block_points(blocks):
-    # The points of (lead, last) blocks, in block order, as rows.
+    # The points of blocks of runs, in block order, as lists.
     rows = []
-    for lead, last in blocks:
-        rows += [col + [x] for col in lead.T.tolist() for x in last.tolist()]
+    for block in blocks:
+        rows += [list(p) for p in itertools.product(*(run.tolist() for run in block))]
     return rows
 
 
-def _assert_block_matches(inst, mu, ev, lead, last):
-    # Every point of the block lead x last, in C order, against the
-    # reference: objective, violation and due-date caps.  Returns the caps.
-    objective, violation, due_cap = ev.evaluate(lead, last)
-    points = _block_points([(lead, last)])
+def _assert_block_matches(inst, mu, ev, block):
+    # Every point of the product of the block's runs, in C order, against
+    # the reference: objective, violation and due-date caps.  Returns the
+    # caps.
+    objective, violation, due_cap = ev.evaluate(block)
+    points = _block_points([block])
     assert objective.shape == violation.shape == (len(points),)
     dues = []
     for k, start in enumerate(points):
@@ -296,9 +298,10 @@ def _assert_block_matches(inst, mu, ev, lead, last):
 
 
 def test_evaluator_matches_reference_loop(rng, monkeypatch):
-    # Single start vectors as one-point blocks, (lead, last) blocks with
-    # L = 5 and L = 1, an empty lead (n = 1), and the blocks of a grid cut
-    # into 7-point chunks whose first axis starts at a signed zero.
+    # Single start vectors as blocks of one-point runs, blocks with runs of
+    # 1-3 points on different axes (n = 1 gives one run), and the blocks of
+    # a grid cut into 7-point chunks whose first axis starts at a signed
+    # zero.
     from tropsched import oracle
     from tropsched.oracle import _StageEvaluator
 
@@ -312,16 +315,15 @@ def test_evaluator_matches_reference_loop(rng, monkeypatch):
             assert _hex(ev.start_lower) == _hex(_reference_start_lower(inst, mu))
             dues = []
             for start in starts.T:
-                dues += _assert_block_matches(inst, mu, ev, start[:-1, None], start[-1:])
-            for width in (5, 1):
-                # With n = 1 the lead is one point of no coordinates.
-                lead = starts[:-1, : 4 if n > 1 else 1]
-                last = starts[-1, 4 : 4 + width]
-                dues += _assert_block_matches(inst, mu, ev, lead, last)
+                dues += _assert_block_matches(inst, mu, ev, list(start[:, None]))
+            for turn in range(3):
+                # Run d holds (d + turn) % 3 + 1 points, from column 4 on.
+                block = [starts[d, 4 : 5 + (d + turn) % 3] for d in range(n)]
+                dues += _assert_block_matches(inst, mu, ev, block)
             lo = [-0.0 if shift == 0.0 else shift] + starts[1:, 0].tolist()
             hi = [a + b / scale for a, b in zip(lo, rng.integers(0, 3, n))]
-            for lead, last in oracle._iter_grid(lo, hi, 0.5 / scale):
-                dues += _assert_block_matches(inst, mu, ev, lead, last)
+            for block in oracle._iter_grid(lo, hi, 0.5 / scale):
+                dues += _assert_block_matches(inst, mu, ev, block)
             zero_dues.update(x.hex() for x in dues if x == 0.0)
     # Due dates of both zero signs occurred, so ties decided a sign.
     assert zero_dues == {"0x0.0p+0", "-0x0.0p+0"}
@@ -331,25 +333,38 @@ def test_evaluator_matches_reference_loop(rng, monkeypatch):
 
 
 def test_grid_blocks_enumerate_in_c_order(monkeypatch):
+    # Each block is one run per axis: one-point runs, then a run cut from
+    # one axis, then whole axes.  The blocks' products, concatenated, are
+    # the grid in C order.  The last two boxes are cut at the default chunk
+    # size too: on the middle axis (5 x 100 x 50 points), and on a last axis
+    # that alone exceeds a chunk (2 x 5000 points).
     from tropsched import oracle
 
     boxes = [
-        ([0.0, -1.0, 2.0], [1.2, 1.0, 3.4]),  # last axis of L = 4 points
+        ([0.0, -1.0, 2.0], [1.2, 1.0, 3.4]),  # 4 x 5 x 4 points
         ([0.0, -1.0, 2.0], [1.2, 1.0, 2.0]),  # one-point last axis
-        ([-1.0], [1.7]),  # n = 1: an empty lead
+        ([-1.0], [1.7]),  # n = 1
+        ([0.0, 0.0, 0.0], [2.0, 49.5, 24.5]),
+        ([0.0, 0.0], [0.5, 2499.5]),
     ]
+    default = oracle._GRID_CHUNK
+    cuts = []
     for lo, hi in boxes:
         axes = [oracle._axis_points(a, b, 0.5) for a, b in zip(lo, hi)]
+        sizes = [len(ax) for ax in axes]
         expected = [list(p) for p in itertools.product(*(ax.tolist() for ax in axes))]
-        width = len(axes[-1])
-        for chunk in (oracle._GRID_CHUNK, 7, 1, max(1, width - 1)):
+        for chunk in (default, 7, 1, max(1, sizes[-1] - 1)):
             monkeypatch.setattr(oracle, "_GRID_CHUNK", chunk)
             blocks = list(oracle._iter_grid(lo, hi, 0.5))
-            for lead, last in blocks:
-                assert lead.shape[0] == len(lo) - 1
-                assert lead.shape[1] * len(last) <= chunk
-            assert len(blocks[0][1]) == min(width, chunk)
+            for block in blocks:
+                lens = [len(run) for run in block]
+                assert len(lens) == len(axes) and math.prod(lens) <= chunk
+                cut = max((d for d, k in enumerate(lens) if k < sizes[d]), default=0)
+                assert all(k == 1 for k in lens[:cut]) and lens[cut + 1 :] == sizes[cut + 1 :]
+            if chunk == default:
+                cuts.append((len(blocks), cut))
             assert _block_points(blocks) == expected
+    assert cuts == [(1, 0), (1, 0), (1, 0), (10, 1), (4, 1)]
 
 
 def _oracle_bits(inst):
