@@ -235,14 +235,6 @@ class _StageEvaluator:
         # absent lag's +inf cap contributes -inf).
         self.start_lower = np.maximum(inst.g.raw[:, 0], (self.q - caps).max(axis=0))
 
-    def box(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.start_lower, self.h
-
-    def box_feasible(self) -> bool:
-        if not (self.q <= self.r + _FEAS_SLACK).all():
-            return False
-        return bool((self.start_lower <= self.h + _FEAS_SLACK).all())
-
     def evaluate(self, block: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(objective, violation, due-date caps) at the points of a block.
 
@@ -281,10 +273,12 @@ class _StageEvaluator:
 
 
 def _grid_search(ev: _StageEvaluator) -> GridSearchResult:
-    lo, hi = ev.box()
-    if not ev.box_feasible():
+    # The search box is [start_lower, h].  The due dates need no test of
+    # their own: ProblemInstance rejects q > r.
+    lo = ev.start_lower
+    if not (lo <= ev.h + _FEAS_SLACK).all():
         return GridSearchResult(False, None, None, None)
-    hi = np.maximum(hi, lo)
+    hi = np.maximum(ev.h, lo)
     if _grid_exceeds(lo, hi, _INITIAL_STEP, _MAX_EVALUATIONS):
         raise GridTooLarge(f"initial grid would exceed {_MAX_EVALUATIONS:g} evaluations")
 

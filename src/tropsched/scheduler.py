@@ -489,49 +489,35 @@ def solution_set(
     )
 
 
-def _regular(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # The columns whose x and y have no zero-element entry.
-    return np.isfinite(x).all(axis=0) & np.isfinite(y).all(axis=0)
+def _objectives(z: np.ndarray, inst: ProblemInstance) -> np.ndarray:
+    # max_i (y~_i + (A x)_i) per column of regular schedules z = (x, y).  y
+    # is regular, so y~ is -y; adding 0.0 clears negative zeros as
+    # ``conjugate`` does.
+    ax = mat_mul(inst.A, TropMatrix._wrap(z[: inst.n])).raw
+    return ((-z[inst.n :] + 0.0) + ax).max(axis=0)
 
 
-def _objectives(x: np.ndarray, y: np.ndarray, inst: ProblemInstance) -> np.ndarray:
-    # max_i (y~_i + (A x)_i) per column of regular schedules.  y is regular,
-    # so y~ is -y; adding 0.0 clears negative zeros as ``conjugate`` does.
-    ax = mat_mul(inst.A, TropMatrix._wrap(x)).raw
-    return ((-y + 0.0) + ax).max(axis=0)
-
-
-def _one_coordinate_joins(
-    g: np.ndarray, z: np.ndarray, new: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    # G z, and the matrix whose column i is G z' for z' = z with z_i set to
-    # new_i.  (G z')_r = max_k fl(G_rk + z'_k) is the join of the terms
-    # k != i, read off prefix and suffix maxima of the terms of G z, and the
-    # changed term fl(G_ri + new_i): the product's own sums, so its bits,
-    # also when new_i lies below z_i.
-    terms = g + z
-    rows, cols = terms.shape
-    before = np.full((rows, cols + 1), -np.inf)
+def _corner_schedules(result: StageTwoResult) -> np.ndarray:
+    # z = A* w of the m + n + 1 box corners, regular or not, one column each
+    # in candidate order: the lower corner w = (g, q) in column 0, then w
+    # with coordinate i raised to its upper bound in column i + 1.  Only w_i
+    # moves, so (A* w)_r = max_k fl(A*_rk + w_k) is the join of the lower
+    # corner's terms k != i, read off their prefix and suffix maxima, and
+    # the changed term fl(A*_ri + upper_i): the product's own sums, so
+    # ``materialize``'s bits, also when upper_i lies below lower_i.
+    star = result.generator.raw
+    lower = _stack(result.u_lower, result.v_lower).raw[:, 0]
+    upper = _stack(result.u_upper, result.v_upper).raw[:, 0]
+    terms = star + lower
+    size = len(lower)
+    before = np.full((size, size + 1), -np.inf)
     np.maximum.accumulate(terms, axis=1, out=before[:, 1:])
-    after = np.full((rows, cols + 1), -np.inf)
-    after[:, :cols] = np.maximum.accumulate(terms[:, ::-1], axis=1)[:, ::-1]
-    others = np.maximum(before[:, :cols], after[:, 1:])
-    return before[:, cols], np.maximum(others, g + new)
-
-
-def _corner_schedules(
-    result: StageTwoResult, inst: ProblemInstance
-) -> tuple[np.ndarray, np.ndarray]:
-    # z = A* w of the m + n + 1 box corners, regular or not, in candidate
-    # order: the lower corner w = (g, q), then w with each coordinate of
-    # (u, v) raised to its upper bound; z is split into x and y.  A corner
-    # moves one coordinate of w, so its schedule is a one-coordinate join of
-    # the lower corner's terms: ``materialize``'s schedule to the bit.
-    lower = np.vstack((result.u_lower.raw, result.v_lower.raw))[:, 0]
-    upper = np.vstack((result.u_upper.raw, result.v_upper.raw))[:, 0]
-    z_low, z_raised = _one_coordinate_joins(result.generator.raw, lower, upper)
-    z = np.hstack((z_low[:, None], z_raised))
-    return z[: inst.n], z[inst.n :]
+    after = np.full((size, size + 1), -np.inf)
+    after[:, :size] = np.maximum.accumulate(terms[:, ::-1], axis=1)[:, ::-1]
+    z = np.empty((size, size + 1))
+    z[:, 0] = before[:, size]
+    np.maximum(np.maximum(before[:, :size], after[:, 1:]), star + upper, out=z[:, 1:])
+    return z
 
 
 def materialize(
@@ -542,10 +528,10 @@ def materialize(
 ) -> ScheduleSolution:
     """Schedule for a concrete parameter choice inside the box.
 
-    z = A* (u; v), one product with the full generator, split into x (the
-    first n entries) and y.  ``extreme_points`` builds the box corners'
-    schedules by one-coordinate joins, tested against this route bit for
-    bit.
+    z = A* (u; v), one product with the full generator; x is a view of its
+    first n entries and y of the rest.  ``extreme_points`` builds the box
+    corners' schedules as one block of one-coordinate joins, tested
+    against this route bit for bit.
     """
     if not result.feasible:
         raise StageTwoInfeasible("cannot materialise from an infeasible result")
@@ -554,13 +540,12 @@ def materialize(
     if not _vec_leq(result.v_lower, v) or not _vec_leq(v, result.v_upper):
         raise ParameterOutOfBox("v lies outside the parameter box")
     z = mat_mul(result.generator, _stack(u, v)).raw
-    x, y = TropMatrix._wrap(z[: inst.n]), TropMatrix._wrap(z[inst.n :])
-    if not _regular(x.raw, y.raw).all():
+    if not np.isfinite(z).all():
         raise ParameterOutOfBox(
             "parameters produce a schedule with undefined components"
         )
-    objective = _objectives(x.raw, y.raw, inst)
-    return ScheduleSolution(x=x, y=y, objective=TropValue.from_raw(float(objective[0])))
+    x, y = TropMatrix._wrap(z[: inst.n]), TropMatrix._wrap(z[inst.n :])
+    return ScheduleSolution(x, y, TropValue.from_raw(float(_objectives(z, inst)[0])))
 
 
 def stage2_solution_check(
@@ -603,28 +588,29 @@ def extreme_points(
     """Extreme optimal schedules from the corners of the parameter box.
 
     Candidates are the all-lower parameter point plus, for each coordinate
-    of (u, v), the point with that coordinate raised to its upper bound.
-    Their schedules z = A* w are built from the lower corner's with no
-    product: each corner moves one coordinate of w, so its schedule is a
-    one-coordinate join of the lower corner's terms, exact also where an
-    upper bound lies up to the feasibility tolerance below its lower
-    bound; each is the schedule ``materialize`` builds through the kernels
-    for that corner, to the bit.  Those with a zero-element
-    component are dropped (zero-element lower bounds may not define a
-    schedule), and the rest are deduplicated in candidate order, a
-    candidate being kept unless its (x, y) lies within 1e-9 of an already
-    kept one in every entry; exact copies of an earlier candidate go
-    first, since one is always dropped.  That leaves at most m + n + 1
-    distinct points, whose objectives are the only ones computed.  The kept
-    points are the rows of one row-major block, in candidate order, and
-    each solution's x and y are views of its row.
+    of w = (u, v), the point with that coordinate raised to its upper
+    bound.  Their schedules z = A* w are the columns of one block, built
+    from the lower corner's with no product: each corner moves one
+    coordinate of w, so its schedule is a one-coordinate join of the lower
+    corner's terms, exact also where an upper bound lies up to the
+    feasibility tolerance below its lower bound; each is the schedule
+    ``materialize`` builds through the kernels for that corner, to the
+    bit.  The columns with a zero-element entry are dropped (zero-element
+    lower bounds may not define a schedule), and the rest, copied once
+    into rows, are deduplicated in candidate order, a candidate being kept
+    unless its z lies within 1e-9 of an already kept one in every entry;
+    exact copies of an earlier candidate go first, since one is always
+    dropped.  That leaves at most m + n + 1 distinct points, whose
+    objectives are the only ones computed.  The kept points are the rows
+    of one row-major block, in candidate order, and each solution's x and
+    y are views of its row.
     """
     if not result.feasible:
         raise StageTwoInfeasible("no extreme points for an infeasible result")
-    x, y = _corner_schedules(result, inst)
-    block = _distinct_points(np.vstack((x, y))[:, _regular(x, y)].T.copy())
+    z = _corner_schedules(result)
+    block = _distinct_points(z.T[np.isfinite(z).all(axis=0)])
+    objective = _objectives(block.T, inst)
     n = inst.n
-    objective = _objectives(block[:, :n].T, block[:, n:].T, inst)
     return [
         ScheduleSolution(
             x=TropMatrix._wrap(block[j, :n, None]),

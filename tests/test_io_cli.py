@@ -432,6 +432,20 @@ def test_cli_verify_worked(capsys):
     assert abs(ver["oracle_best"]["stage2"] - 2.0) <= 1e-6
 
 
+def test_cli_verify_text(capsys):
+    # verify's text report is solve's with the verification line before
+    # the notes.
+    assert run_cli(["verify", FIXTURES["worked"]]) == 0
+    ver = json.loads(capsys.readouterr().out)["verification"]
+    assert run_cli(["solve", FIXTURES["worked"], "--format", "text"]) == 0
+    solved = capsys.readouterr().out.splitlines()
+    assert run_cli(["verify", FIXTURES["worked"], "--format", "text"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert ver["agreement"] is True and solved[-1].startswith("note: ")
+    line = f"verification: agreement=True oracle_best={ver['oracle_best']}"
+    assert lines == solved[:-1] + [line, solved[-1]]
+
+
 @pytest.mark.parametrize("m,n", [(6, 6), (10, 100)])
 def test_cli_verify_without_oracle_on_wide_boxes(tmp_path, capsys, m, n):
     # The grid oracle refuses these boxes; verify still writes the solve

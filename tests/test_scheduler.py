@@ -23,7 +23,7 @@ from tropsched.instances import (
 )
 from tropsched.io_cli import parse_instance
 from tropsched.linalg import TropMatrix, conjugate, is_regular, mat_add, mat_mul, scalar_mul
-from tropsched.scheduler import _corner_schedules, _distinct_points, _regular
+from tropsched.scheduler import _corner_schedules, _distinct_points
 from tropsched.semiring import TropValue, t_inv
 
 
@@ -147,6 +147,16 @@ def test_stage1_solution_check_worked():
     assert not ts.stage1_solution_check(inst, mu, _col(11), _col(8))
 
 
+def test_stage2_solution_check_rejects_a_violated_b_lag():
+    # With B = 1 below D = 2, (6, 8) meets every stage-one constraint at
+    # mu = -1 but not the second project's due-date-start lag y <= x + B.
+    inst = _instance(B=TropMatrix([[1]]))
+    mu = TropValue(-1)
+    assert ts.stage1_solution_check(inst, mu, _col(6), _col(8))
+    assert not ts.stage2_solution_check(inst, mu, _col(6), _col(8))
+    assert ts.stage2_solution_check(inst, mu, _col(6), _col(8), slack=1.0)
+
+
 def test_derive_matrices_worked():
     inst = worked_example()
     dm = ts.derive_matrices(inst, TropValue(-1))
@@ -219,6 +229,16 @@ def test_stage2_infeasible_when_second_project_dominates():
     dm = ts.derive_matrices(inst, rep.stage1.mu)
     with pytest.raises(StageTwoInfeasible):
         ts.compute_eta(dm, inst)
+
+
+def test_infeasible_stage_two_has_no_schedules():
+    inst = _instance(B=TropMatrix([[1]]))
+    s2 = ts.solve(inst).stage2
+    assert not s2.feasible
+    with pytest.raises(StageTwoInfeasible, match="cannot materialise"):
+        ts.materialize(s2, inst.g, inst.q, inst)
+    with pytest.raises(StageTwoInfeasible, match="no extreme points"):
+        ts.extreme_points(s2, inst)
 
 
 def test_stage2_infeasible_through_box_term():
@@ -560,8 +580,8 @@ def test_corner_schedules_match_materialize(rng):
     irregular = 0
     for result, inst in _extreme_point_cases(rng):
         n = inst.n
-        cx, cy = _corner_schedules(result, inst)
-        regular = _regular(cx, cy)
+        z = _corner_schedules(result)
+        regular = np.isfinite(z).all(axis=0)
         for j, w in enumerate(_box_corners(result).T):
             u, v = TropMatrix(w[:n, None]), TropMatrix(w[n:, None])
             if not regular[j]:
@@ -570,8 +590,8 @@ def test_corner_schedules_match_materialize(rng):
                     ts.materialize(result, u, v, inst)
                 continue
             sol = ts.materialize(result, u, v, inst)
-            assert sol.x.raw.tobytes() == cx[:, j].tobytes()
-            assert sol.y.raw.tobytes() == cy[:, j].tobytes()
+            assert sol.x.raw.tobytes() == z[:n, j].tobytes()
+            assert sol.y.raw.tobytes() == z[n:, j].tobytes()
     assert irregular > 0
 
 
