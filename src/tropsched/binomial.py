@@ -35,12 +35,14 @@ it) is library surface and the tests' reference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import TropMatrix, mat_add, mat_mul, trace, walk_table
+from .linalg import TropMatrix, mat_add, mat_mul, powers, trace, walk_table
 from .semiring import TropValue
 
 
@@ -89,18 +91,15 @@ def build_table(a: TropMatrix, b: TropMatrix, p: int) -> BinomialTable:
 
 
 def binomial_power_sum(a: TropMatrix, b: TropMatrix, p: int) -> TropMatrix:
-    """Join of (A + B)^k for k = 1..p, assembled from the table."""
+    """Join of (A + B)^k for k = 1..p, assembled from the table.
+
+    The terms with an A-factor are the cells T[k, p-k], k = 1..p, and
+    those without are B, ..., B^p, the ``linalg.powers`` of B.
+    """
     _check_pair(a, b)
     table = build_table(a, b, p)
-    out = table.cell(1, p - 1)
-    for k in range(2, p + 1):
-        out = mat_add(out, table.cell(k, p - k))
-    b_power = b
-    out = mat_add(out, b_power)
-    for _ in range(p - 1):
-        b_power = mat_mul(b_power, b)
-        out = mat_add(out, b_power)
-    return out
+    cells = (table.cell(k, p - k) for k in range(1, p + 1))
+    return reduce(mat_add, chain(cells, powers(b, p)))
 
 
 def binomial_trace_sum(a: TropMatrix, b: TropMatrix, p: int) -> TropValue:

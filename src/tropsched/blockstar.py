@@ -73,6 +73,13 @@ def assemble(sb: SkewBlock) -> TropMatrix:
     return _from_blocks(TropMatrix.zeros(p, p), sb.B, sb.C, TropMatrix.zeros(q, q))
 
 
+def _closing_side(sb: SkewBlock) -> tuple[TropMatrix, TropMatrix, TropMatrix]:
+    # (X, Y, X Y) with X Y the smaller block product: (B, C, BC) when
+    # p <= q, else (C, B, CB).
+    p, q = sb.B.shape
+    return (sb.B, sb.C, sb.BC) if p <= q else (sb.C, sb.B, sb.CB)
+
+
 def skew_trace(sb: SkewBlock) -> TropValue:
     """Trace function of the assembled matrix, via the smaller block product.
 
@@ -82,32 +89,29 @@ def skew_trace(sb: SkewBlock) -> TropValue:
     compare the result against the unit themselves, which keeps the
     violating value available for diagnostics.
     """
-    p, q = sb.B.shape
-    return trace_function(sb.BC if p <= q else sb.CB)
+    return trace_function(_closing_side(sb)[2])
 
 
 def skew_star(sb: SkewBlock) -> TropMatrix:
     """Kleene star of the assembled matrix, computed blockwise.
 
-    Paths alternate between the blocks, so with K = (BC)* the star is
-    [[K, K B], [C K, I + C K B]], and symmetrically through (CB)* when C B
-    is the smaller product.  The single closure is the star of the smaller
-    block product; a positive cycle raises StarDiverges carrying the trace
-    function of that product, which equals ``skew_trace``.  When B or C is
-    all zero there is no cycle and no path of two arcs, so the star is
-    [[I, B], [C, I]] without a closure.
+    Paths alternate between the blocks.  Let (X, Y) be (B, C) when p <= q
+    and (C, B) otherwise, so X Y is the smaller block product, and let
+    K = (X Y)*.  The star's block on X's rows is K, its block on Y's rows
+    is I + (Y K) X, and its off-diagonal blocks are K X and Y K: with
+    p <= q that is [[K, K B], [C K, I + C K B]], and with p > q the same
+    four blocks in the mirrored places, [[I + B K C, B K], [K C, K]].  The
+    single closure is the star of the cached smaller block product; a
+    positive cycle raises StarDiverges carrying the trace function of that
+    product, which equals ``skew_trace``.  When B or C is all zero there is
+    no cycle and no path of two arcs, so the star is [[I, B], [C, I]]
+    without a closure.
     """
     p, q = sb.B.shape
     if sb.B.is_zero_matrix() or sb.C.is_zero_matrix():
         return _from_blocks(TropMatrix.identity(p), sb.B, sb.C, TropMatrix.identity(q))
-    if p <= q:
-        ul = kleene_star(sb.BC)
-        ur = mat_mul(ul, sb.B)
-        ll = mat_mul(sb.C, ul)
-        lr = mat_add(TropMatrix.identity(q), mat_mul(ll, sb.B))
-    else:
-        lr = kleene_star(sb.CB)
-        ll = mat_mul(lr, sb.C)
-        ur = mat_mul(sb.B, lr)
-        ul = mat_add(TropMatrix.identity(p), mat_mul(ur, sb.C))
-    return _from_blocks(ul, ur, ll, lr)
+    x, y, xy = _closing_side(sb)
+    k = kleene_star(xy)
+    kx, yk = mat_mul(k, x), mat_mul(y, k)
+    blocks = (k, kx, yk, mat_add(TropMatrix.identity(y.rows), mat_mul(yk, x)))
+    return _from_blocks(*(blocks if p <= q else blocks[::-1]))

@@ -13,7 +13,7 @@ construction and all kernels are pure functions.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .errors import (
     StarDiverges,
     ZeroMatrix,
 )
-from .semiring import TropValue, t_add, t_pow
+from .semiring import TropValue, t_join, t_pow
 
 _NEG_INF = float("-inf")
 
@@ -224,16 +224,25 @@ def trace(a: TropMatrix) -> TropValue:
     return TropValue.from_raw(float(np.diagonal(a._data).max()))
 
 
+def powers(a: TropMatrix, k: int) -> Iterator[TropMatrix]:
+    """The first k powers A, A A, (A A) A, ..., each the previous one times A.
+
+    The first is ``a`` itself, with no product by the identity, so a -0.0
+    entry stays -0.0; the k - 1 products are taken only as the powers are
+    drawn.
+    """
+    power = a
+    for i in range(k):
+        if i:
+            power = mat_mul(power, a)
+        yield power
+
+
 def trace_function(a: TropMatrix) -> TropValue:
-    """Join of the traces of the first n powers (star convergence certificate)."""
+    """Join of tr A, ..., tr A^n over ``powers`` (star convergence certificate)."""
     if a.rows != a.cols:
         raise NotSquare(f"trace function requires a square matrix, got {a.shape}")
-    best = trace(a)
-    power = a
-    for _ in range(a.rows - 1):
-        power = mat_mul(power, a)
-        best = t_add(best, trace(power))
-    return best
+    return t_join(trace(power) for power in powers(a, a.rows))
 
 
 def mat_pow(a: TropMatrix, k: int) -> TropMatrix:
@@ -349,15 +358,11 @@ def spectral_radius(a: TropMatrix) -> TropValue:
 
 
 def spectral_radius_via_traces(a: TropMatrix) -> TropValue:
-    """Maximum cycle mean through the trace formula: join of tr(A^k)^(1/k)."""
+    """Maximum cycle mean through the trace formula: join of tr(A^k)^(1/k).
+
+    The powers A^k, k = 1..n, are ``powers``; a zero trace has a zero root,
+    which the join skips.
+    """
     if a.rows != a.cols:
         raise NotSquare(f"spectral radius requires a square matrix, got {a.shape}")
-    best = TropValue.zero()
-    power = a
-    for k in range(1, a.rows + 1):
-        if k > 1:
-            power = mat_mul(power, a)
-        tr = trace(power)
-        if not tr.is_zero:
-            best = t_add(best, t_pow(tr, 1.0 / k))
-    return best
+    return t_join(t_pow(trace(power), 1.0 / k) for k, power in enumerate(powers(a, a.rows), 1))

@@ -44,12 +44,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import reduce
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, GridTooLarge, StarDiverges
-from .linalg import TropMatrix, mat_add, mat_mul, mat_pow, trace, trace_function
+from .linalg import TropMatrix, mat_add, mat_mul, mat_pow, powers, trace, trace_function
 from .scheduler import ProblemInstance
 from .semiring import TropValue
 
@@ -75,18 +76,14 @@ def naive_star(a: TropMatrix, terms: int | None = None) -> TropMatrix:
 
 
 def naive_binomial(a: TropMatrix, b: TropMatrix, p: int) -> TropMatrix:
-    """Literal join of (A + B)^k for k = 1..p."""
+    """Literal join of (A + B)^k for k = 1..p: the ``powers`` of A + B, summed."""
     if a.shape != b.shape or a.rows != a.cols:
         raise DimensionMismatch(
             f"square matrices of equal order required, got {a.shape} and {b.shape}"
         )
-    s = mat_add(a, b)
-    out = s
-    power = s
-    for _ in range(p - 1):
-        power = mat_mul(power, s)
-        out = mat_add(out, power)
-    return out
+    if p < 1:
+        raise ValueError("truncation order p must be >= 1")
+    return reduce(mat_add, powers(mat_add(a, b), p))
 
 
 def compositions_upto(parts: int, total: int) -> Iterator[tuple[int, ...]]:

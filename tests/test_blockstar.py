@@ -127,6 +127,36 @@ def test_star_off_diagonal_blocks_extend_the_diagonal_blocks(rng):
                 assert mat_mul(lr, sb.C).raw.tobytes() == ll
 
 
+def _signed_thirds_skew(rng, p, q, density):
+    # zero_cycle_skew's blocks in thirds, with half of the zero entries -0.0.
+    def thirds(block):
+        raw = block.raw / 3
+        raw[(raw == 0.0) & (rng.random(raw.shape) < 0.5)] = -0.0
+        return TropMatrix(raw)
+
+    sb = zero_cycle_skew(rng, p, q, density=density)
+    return thirds(sb.B), thirds(sb.C)
+
+
+def test_skew_star_orientations_agree_to_the_bit(rng):
+    # At p != q the two orientations close the same product B C: (B, C)
+    # closes its BC and (C, B) its CB.  So the star of one is the other's
+    # with the two index sets swapped, to the sign of every zero.
+    negative_zeros = 0
+    for p in range(1, 6):
+        for q in range(1, 6):
+            if p == q:
+                continue
+            for density in (0.3, 0.8, 1.0):
+                b, c = _signed_thirds_skew(rng, p, q, density)
+                negative_zeros += int(np.signbit(b.raw).sum() - (b.raw < 0).sum())
+                star = skew_star(SkewBlock(b, c)).raw
+                swap = np.r_[q : p + q, 0:q]
+                mirrored = skew_star(SkewBlock(c, b)).raw[np.ix_(swap, swap)]
+                assert (star.view(np.int64) == mirrored.view(np.int64)).all()
+    assert negative_zeros > 0
+
+
 def test_zero_block_star_needs_no_closure(rng, monkeypatch):
     # With B or C all zero no path has two arcs: the star is [[I, B], [C, I]].
     cases = []

@@ -6,7 +6,12 @@ from conftest import assert_close, rand_mat, rand_raw, zero_cycle_skew
 
 from tropsched import blockstar, inequality, linalg, scheduler
 from tropsched.blockstar import SkewBlock, assemble, skew_trace
-from tropsched.errors import NotColumnRegular, NotRegularVector, StarDiverges
+from tropsched.errors import (
+    DimensionMismatch,
+    NotColumnRegular,
+    NotRegularVector,
+    StarDiverges,
+)
 from tropsched.inequality import solve_double_inequality, solve_upper_bound
 from tropsched.instances import random_feasible_instance
 from tropsched.linalg import (
@@ -87,6 +92,51 @@ def _random_system(rng):
     b = rand_mat(rng, n, 1, density=0.8, lo=-3, hi=3)
     d_arr = rand_raw(rng, n, 1, density=1.0, lo=0, hi=6)
     return a, b, TropMatrix(d_arr)
+
+
+_I2 = TropMatrix.identity(2)
+_V2 = TropMatrix.column([0, 1])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: solve_upper_bound(_I2, _I2),
+            NotRegularVector,
+            "d must be a column vector, got (2, 2)",
+            id="upper-bound-d-not-vector",
+        ),
+        pytest.param(
+            lambda: solve_upper_bound(_I2, TropMatrix.column([0, 1, 2])),
+            DimensionMismatch,
+            "A has 2 rows but d has 3",
+            id="upper-bound-rows",
+        ),
+        pytest.param(
+            lambda: solve_double_inequality(TropMatrix([[0, 1]]), _V2, _V2),
+            DimensionMismatch,
+            "A must be square, got (1, 2)",
+            id="double-a-not-square",
+        ),
+        pytest.param(
+            lambda: solve_double_inequality(_I2, TropMatrix([[0, 1]]), _V2),
+            DimensionMismatch,
+            "b must be a 2-vector, got (1, 2)",
+            id="double-b-shape",
+        ),
+        pytest.param(
+            lambda: solve_double_inequality(_I2, _V2, TropMatrix.column([0, 1, 2])),
+            DimensionMismatch,
+            "d must be a 2-vector, got (3, 1)",
+            id="double-d-shape",
+        ),
+    ],
+)
+def test_input_guards_raise(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_soundness_of_parameterization(rng):

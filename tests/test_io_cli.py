@@ -374,6 +374,28 @@ def test_entries_beyond_bound_are_rejected(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: dict(doc, A={"0": [0, 0, 0]}), "field 'A': expected 2 rows"),
+        (lambda doc: dict(doc, D=doc["D"][:1]), "field 'D': expected 2 rows"),
+        (lambda doc: dict(doc, B=doc["B"] * 2), "field 'B': expected 2 rows"),
+        (lambda doc: [doc], "{path}: top-level value must be an object"),
+    ],
+    ids=["matrix-not-a-list", "matrix-short", "matrix-long", "top-level-list"],
+)
+def test_cli_rejects_malformed_documents(tmp_path, capsys, edit, message):
+    with open(FIXTURES["team_a"]) as fh:
+        doc = json.load(fh)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(doc)))
+    for command in ("solve", "verify"):
+        assert run_cli([command, str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"invalid input: {message.format(path=path)}\n"
+
+
 def test_cli_usage_errors(capsys):
     # Exit code 2 means infeasible, so usage errors must not use argparse's 2.
     for argv in (

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import tropsched
 from tropsched import binomial, blockstar, inequality, linalg, scheduler
+from tropsched.binomial import binomial_power_sum, build_table, form_families
 from tropsched.blockstar import SkewBlock, skew_star
 from tropsched.errors import (
     DimensionMismatch,
@@ -42,6 +43,7 @@ from tropsched.linalg import (
     mat_mul,
     mat_pow,
     max_cycle_mean,
+    powers,
     scalar_mul,
     spectral_radius,
     spectral_radius_via_traces,
@@ -49,8 +51,9 @@ from tropsched.linalg import (
     trace_function,
     walk_table,
 )
+from tropsched.oracle import naive_binomial
 from tropsched.scheduler import solve
-from tropsched.semiring import ZERO, TropValue, t_inv
+from tropsched.semiring import ZERO, TropValue, t_add, t_inv, t_pow
 
 A_SQUARE = TropMatrix([[-1, -3], [0, -2]])
 
@@ -244,6 +247,165 @@ def test_trace_function():
     assert_close(trace_function(A_SQUARE), -1)
     assert_close(trace_function(TropMatrix([[1]])), 1)
     assert trace_function(TropMatrix.zeros(2, 2)) == ZERO
+
+
+def _signed_thirds(rng, n):
+    # Thirds with zero-element holes; half of the zero entries are -0.0.
+    raw = rand_raw(rng, n, n, lo=-3, hi=3) / 3
+    raw[(raw == 0.0) & (rng.random(raw.shape) < 0.5)] = -0.0
+    return TropMatrix(raw)
+
+
+def _same_bits(x: TropMatrix, y: TropMatrix) -> bool:
+    return x.shape == y.shape and bool((x.raw.view(np.int64) == y.raw.view(np.int64)).all())
+
+
+def _value_bits(v: TropValue) -> int:
+    return int(np.float64(v.raw).view(np.int64))
+
+
+def _power_chain(a, k):
+    # A, A A, (A A) A, ...: k powers, each product written out.
+    out = [a]
+    while len(out) < k:
+        out.append(mat_mul(out[-1], a))
+    return out
+
+
+def test_powers_left_multiply_from_a_itself(rng, monkeypatch):
+    for n in (1, 2, 3, 5):
+        a = _signed_thirds(rng, n)
+        drawn = list(powers(a, 4))
+        assert len(drawn) == 4 and drawn[0] is a
+        for prev, power in zip(drawn, drawn[1:]):
+            assert _same_bits(power, mat_mul(prev, a))
+    assert list(powers(a, 0)) == []
+    # No product by the identity: I A would turn the -0.0 into 0.0.
+    minus_zero = TropMatrix([[-0.0]])
+    assert np.signbit(next(powers(minus_zero, 1)).raw[0, 0])
+    assert not np.signbit(mat_mul(TropMatrix.identity(1), minus_zero).raw[0, 0])
+    # k powers take k - 1 products, each only when its power is drawn.
+    calls = []
+
+    def counting(x, y):
+        calls.append(1)
+        return mat_mul(x, y)
+
+    monkeypatch.setattr(linalg, "mat_mul", counting)
+    drawn = powers(a, 3)
+    assert [len(calls) for _ in drawn] == [0, 1, 2] and len(calls) == 2
+
+
+def test_power_sums_match_an_explicit_chain(rng):
+    # Each caller of ``powers`` against its sum written out as a loop over
+    # an explicit chain, to the bit: trace_function and the trace-formula
+    # radius at n = 1..4, the two binomial sums at p = 1..3.
+    mats = [TropMatrix([[-0.0]]), TropMatrix([[1 / 3]])]
+    mats += [_signed_thirds(rng, n) for n in (1, 2, 3, 4) for _ in range(8)]
+    negative_zeros = 0
+    for a in mats:
+        negative_zeros += int(np.signbit(a.raw).sum() - (a.raw < 0).sum())
+        chain = _power_chain(a, a.rows)
+        expected = trace(chain[0])
+        for power in chain[1:]:
+            expected = t_add(expected, trace(power))
+        assert _value_bits(trace_function(a)) == _value_bits(expected)
+        expected = ZERO
+        for k, power in enumerate(chain, 1):
+            if not trace(power).is_zero:
+                expected = t_add(expected, t_pow(trace(power), 1.0 / k))
+        assert _value_bits(spectral_radius_via_traces(a)) == _value_bits(expected)
+        b = _signed_thirds(rng, a.rows)
+        for p in (1, 2, 3):
+            s = mat_add(a, b)
+            expected = s
+            for power in _power_chain(s, p)[1:]:
+                expected = mat_add(expected, power)
+            assert _same_bits(naive_binomial(a, b, p), expected)
+            table = build_table(a, b, p)
+            expected = table.cell(1, p - 1)
+            for k in range(2, p + 1):
+                expected = mat_add(expected, table.cell(k, p - k))
+            for power in _power_chain(b, p):
+                expected = mat_add(expected, power)
+            assert _same_bits(binomial_power_sum(a, b, p), expected)
+    assert negative_zeros > 0
+    assert np.signbit(trace_function(TropMatrix([[-0.0]])).raw)
+
+
+_WIDE = TropMatrix([[1, 2]])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: trace_function(_WIDE),
+            NotSquare,
+            "trace function requires a square matrix, got (1, 2)",
+            id="trace_function",
+        ),
+        pytest.param(
+            lambda: mat_pow(A_SQUARE, -1),
+            ValueError,
+            "exponent must be a nonnegative integer",
+            id="mat_pow-exponent",
+        ),
+        pytest.param(
+            lambda: kleene_star(_WIDE),
+            NotSquare,
+            "star requires a square matrix, got (1, 2)",
+            id="kleene_star",
+        ),
+        pytest.param(
+            lambda: spectral_radius(_WIDE),
+            NotSquare,
+            "spectral radius requires a square matrix, got (1, 2)",
+            id="spectral_radius",
+        ),
+        pytest.param(
+            lambda: spectral_radius_via_traces(_WIDE),
+            NotSquare,
+            "spectral radius requires a square matrix, got (1, 2)",
+            id="spectral_radius_via_traces",
+        ),
+        pytest.param(
+            lambda: naive_binomial(A_SQUARE, TropMatrix.identity(3), 2),
+            DimensionMismatch,
+            "square matrices of equal order required, got (2, 2) and (3, 3)",
+            id="naive_binomial-orders",
+        ),
+        pytest.param(
+            lambda: naive_binomial(_WIDE, _WIDE, 2),
+            DimensionMismatch,
+            "square matrices of equal order required, got (1, 2) and (1, 2)",
+            id="naive_binomial-not-square",
+        ),
+        pytest.param(
+            lambda: naive_binomial(A_SQUARE, A_SQUARE, 0),
+            ValueError,
+            "truncation order p must be >= 1",
+            id="naive_binomial-order",
+        ),
+        pytest.param(
+            lambda: form_families(
+                A_SQUARE,
+                A_SQUARE,
+                TropMatrix.column([0, 0]),
+                [(TropMatrix([[0, 0]]), 0)],
+                2,
+                chain=np.zeros((2, 2)),
+            ),
+            DimensionMismatch,
+            "chain must be 3x2, got (2, 2)",
+            id="form_families-chain",
+        ),
+    ],
+)
+def test_algebra_guards_raise(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_kleene_star_examples():

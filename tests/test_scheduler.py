@@ -65,6 +65,19 @@ def test_instance_validation():
         _instance(A=TropMatrix([[1, 2]]))  # wrong shape
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("g", _col(0, 1), "g must be a column vector of length 1"),
+        ("r", TropMatrix([[8, 9]]), "r must be a column vector of length 1"),
+    ],
+)
+def test_instance_rejects_malformed_bounds(field, value, message):
+    with pytest.raises(InvalidInstance) as info:
+        _instance(**{field: value})
+    assert str(info.value) == message
+
+
 def test_stage1_feasibility_worked():
     feasible, value = ts.check_stage1_feasibility(worked_example())
     assert feasible

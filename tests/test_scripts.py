@@ -58,3 +58,37 @@ def test_make_instance_rejects_bad_sizes(tmp_path, flag, value, low):
     assert f"argument {flag}: must be an integer >= {low}, got {value}" in done.stderr
     assert "Traceback" not in done.stderr
     assert not path.exists()
+
+
+_COUNTED = '''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment
+
+# a comment line
+
+
+def f(x):
+    """A function docstring."""
+    y = """a string that is
+not a docstring"""
+    return (x +
+            1)
+
+
+class K:
+    """A class docstring."""
+
+    value = 1
+'''
+
+
+def test_count_code_lines(tmp_path):
+    # Code lines of _COUNTED: import, def, the two of y's string, the two of
+    # the return, class and value.
+    (tmp_path / "a.py").write_text(_COUNTED)
+    (tmp_path / "b.py").write_text("x = 1\n\n# done\n")
+    out = _run_script("count_code_lines.py", str(tmp_path))
+    assert out == f"     8 {tmp_path / 'a.py'}\n     1 {tmp_path / 'b.py'}\n     9 total\n"
+    out = _run_script("count_code_lines.py", str(tmp_path / "b.py"))
+    assert out == f"     1 {tmp_path / 'b.py'}\n     1 total\n"
