@@ -13,13 +13,14 @@ JSON document (objects keyed by strings) its text is exactly that of
 ``json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1) +
 "\n"``.  With an indent set, json runs its pure-Python encoder, so the
 writer lays the text out itself.  A matrix that ``instance_to_dict`` or
-``report_to_dict`` built keeps its array beside its rows, and a report's
-extreme points keep one block of their values beside their dicts, a
-column [objective; x; y] per point.  From ``_TABLE_MIN_ENTRIES`` entries
-up the writer turns each distinct value of such an array into text once,
-then indexes those words back over the array.  Smaller arrays and other
-rows of scalars are encoded compactly with json's C encoder; dicts and
-other lists are walked in Python.
+``report_to_dict`` built, and a report's list of extreme points, keep
+their values as the rows of one array beside their items: a matrix's
+rows, or a row [objective; x; y] per point.  One function gives the
+words of such an array: json's C encoder over the whole array below
+``_TABLE_MIN_ENTRIES`` entries, and from there up a table that turns each
+distinct value into text once.  Each row is then laid out as a list or
+as a point's dict.  Other rows of scalars are encoded compactly with
+json's C encoder; dicts and other lists are walked in Python.
 
 Exit codes: 0 solved feasible, 2 infeasible, 3 invalid input or usage
 error, 4 internal consistency failure, 5 oracle disagreement.  Every
@@ -211,47 +212,39 @@ def write_instance(inst: ProblemInstance, path: str) -> None:
 
 
 class _ArrayRows(list):
-    # A matrix's rows as nested lists, None for the zero element, which also
-    # keep the matrix's array: the writer lays the text out from the array.
-    # It compares equal to the plain rows.  Edited rows would be written as
-    # the array holds them, so a caller that edits a matrix edits a copy.
-    __slots__ = ("array",)
+    # A report list whose items also keep their values as the rows of one
+    # 2-D array: a matrix's rows as nested lists (n None), or schedules'
+    # dicts {"x", "y", "objective"}, one row [objective; x; y] each (n the
+    # length of x), the order in which the writer lays out their sorted
+    # keys.  None stands for the zero element.  It compares equal to the
+    # plain list; the writer lays the text out from the array, so a caller
+    # that edits an item edits a copy.
+    __slots__ = ("array", "n")
+
+    def __init__(self, items, array: np.ndarray, n: int | None = None):
+        super().__init__(items)
+        self.array, self.n = array, n
 
     @classmethod
     def of(cls, mat: TropMatrix) -> "_ArrayRows":
-        rows = cls(mat.to_rows())
-        rows.array = mat.raw
-        return rows
-
-
-class _PointRows(list):
-    # Schedules' dicts {"x", "y", "objective"}, None for the zero element,
-    # which also keep their values as one (1 + n + m) x k block: column j
-    # is [objective; x; y] of schedule j, the order in which the writer
-    # lays out its sorted keys.  It compares equal to the plain list of
-    # dicts; like _ArrayRows, a caller that edits a point edits a copy.
-    __slots__ = ("block", "n")
+        return cls(mat.to_rows(), mat.raw)
 
     @classmethod
-    def of(cls, points: list[ScheduleSolution]) -> "_PointRows":
+    def of_points(cls, points: list[ScheduleSolution]) -> "_ArrayRows":
         if not points:
-            rows = cls()
-            rows.block, rows.n = np.empty((1, 0)), 0
-            return rows
+            return cls((), np.empty((0, 1)), 0)
         n, m = points[0].x.rows, points[0].y.rows
         xy = np.concatenate([a for p in points for a in (p.x.raw, p.y.raw)])
-        by_point = np.empty((len(points), 1 + n + m))
-        by_point[:, 0] = [p.objective.raw for p in points]
-        by_point[:, 1:] = xy.reshape(len(points), n + m)
-        block = by_point.T
-        objectives = block[0].tolist()
-        xs, ys = block[1 : 1 + n].T.tolist(), block[1 + n :].T.tolist()
-        if (by_point == _NEG_INF).any():
+        array = np.empty((len(points), 1 + n + m))
+        array[:, 0] = [p.objective.raw for p in points]
+        array[:, 1:] = xy.reshape(len(points), n + m)
+        objectives = array[:, 0].tolist()
+        xs, ys = array[:, 1 : 1 + n].tolist(), array[:, 1 + n :].tolist()
+        if (array == _NEG_INF).any():
             objectives = _nulls(objectives)
             xs, ys = [_nulls(x) for x in xs], [_nulls(y) for y in ys]
-        rows = cls({"x": x, "y": y, "objective": o} for x, y, o in zip(xs, ys, objectives))
-        rows.block, rows.n = block, n
-        return rows
+        items = ({"x": x, "y": y, "objective": o} for x, y, o in zip(xs, ys, objectives))
+        return cls(items, array, n)
 
 
 def _value_to_json(v: TropValue | None) -> float | None:
@@ -335,7 +328,7 @@ def report_to_dict(
                     "y": _ArrayRows.of(s2.y_generator),
                 },
             }
-            doc["extreme_points"] = _PointRows.of(report.extreme)
+            doc["extreme_points"] = _ArrayRows.of_points(report.extreme)
     if verification is not None:
         doc["verification"] = verification
     if samples is not None:
@@ -355,47 +348,47 @@ def _row(body: str, newline: str) -> str:
     return "[" + inner + body.replace(",", "," + inner) + newline + "]"
 
 
-# Below this many entries a matrix is encoded entry by entry in json's C
-# encoder: the value table has a fixed cost, most of it np.unique, of about
-# 9 us (a 2x2 matrix takes 3 us in the C encoder), and it breaks even near
-# 8x8 when the values repeat.
+# Below this many entries an array's words come from json's C encoder, one
+# pass over the whole array: the value table has a fixed cost, most of it
+# np.unique.  Timed through _rows_text on 16 to 144 entries, matrices and
+# extreme-point blocks alike, the table breaks even near 30 entries when
+# the values repeat (4 distinct) and near 144 when all are distinct.
 _TABLE_MIN_ENTRIES = 64
 
 
-def _words(array: np.ndarray) -> np.ndarray:
-    # The json text of each entry of a 2-D array, as an object array of its
-    # shape.  Each distinct bit pattern (so -0.0 and 0.0 stay apart) is
-    # turned into text once, and the words are indexed back over the array.
+def _words(array: np.ndarray) -> list[list[str]]:
+    # The json text of each entry of a non-empty 2-D array, one list per
+    # row.  Small arrays are encoded compactly at once and split at "],["
+    # and ",".  From _TABLE_MIN_ENTRIES up each distinct bit pattern (so
+    # -0.0 and 0.0 stay apart) is turned into text once, and the words are
+    # indexed back over the array.
+    if array.size < _TABLE_MIN_ENTRIES:
+        text = _COMPACT.encode(array.tolist()).replace("-Infinity", "null")
+        return [row.split(",") for row in text[2:-2].split("],[")]
     table, index = np.unique(array.view(np.int64), return_inverse=True)
     words = np.array(
         ["null" if x == _NEG_INF else repr(x) for x in table.view(np.float64).tolist()],
         dtype=object,
     )
-    return words[index.reshape(array.shape)]
+    return words[index.reshape(array.shape)].tolist()
 
 
-def _matrix_rows(rows: _ArrayRows, newline: str) -> list[str]:
-    # The indent=1 text of each row of rows, closed at newline.
-    array = rows.array
-    if array.size < _TABLE_MIN_ENTRIES:
-        return [_row(body, newline) for body in _COMPACT.encode(rows)[2:-2].split("],[")]
-    inner = newline + " "
-    head, cell, tail = "[" + inner, "," + inner, newline + "]"
-    return [head + cell.join(row) + tail for row in _words(array).tolist()]
-
-
-def _point_text(points: _PointRows, newline: str) -> str:
-    # The indent=1 text of a list of schedule dicts, closed at newline,
-    # from their block: each point's words in key order, objective, x, y.
-    n = points.n
+def _rows_text(rows: _ArrayRows, newline: str) -> str:
+    # The indent=1 text of a non-empty rows, closed at newline: each row of
+    # its array as a list, or, with n set, as a schedule's dict in key
+    # order, objective, x, y.
+    n = rows.n
     item, key, entry = newline + " ", newline + "  ", newline + "   "
-    head = "{" + key + '"objective": '
-    x_open, cell = "," + key + '"x": [' + entry, "," + entry
-    y_open, tail = key + "]," + key + '"y": [' + entry, key + "]" + item + "}"
-    texts = [
-        head + w[0] + x_open + cell.join(w[1 : 1 + n]) + y_open + cell.join(w[1 + n :]) + tail
-        for w in _words(points.block.T).tolist()
-    ]
+    if n is None:
+        texts = ["[" + key + ("," + key).join(w) + item + "]" for w in _words(rows.array)]
+    else:
+        head = "{" + key + '"objective": '
+        x_open, cell = "," + key + '"x": [' + entry, "," + entry
+        y_open, tail = key + "]," + key + '"y": [' + entry, key + "]" + item + "}"
+        texts = [
+            head + w[0] + x_open + cell.join(w[1 : 1 + n]) + y_open + cell.join(w[1 + n :]) + tail
+            for w in _words(rows.array)
+        ]
     return "[" + item + ("," + item).join(texts) + newline + "]"
 
 
@@ -414,14 +407,11 @@ def _layout(value: Any, newline: str, out: list[str]) -> None:
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(value, (list, tuple)):
-        if type(value) is _ArrayRows:
-            out.append("[" + inner + ("," + inner).join(_matrix_rows(value, inner)) + newline + "]")
-            return
         if not value:
             out.append("[]")
             return
-        if type(value) is _PointRows and value.block.size >= _TABLE_MIN_ENTRIES:
-            out.append(_point_text(value, newline))
+        if type(value) is _ArrayRows:
+            out.append(_rows_text(value, newline))
             return
         # A list that opens with an object is walked at once rather than
         # encoded twice.  In compact text with no string or object in it,
@@ -443,10 +433,10 @@ def _layout(value: Any, newline: str, out: list[str]) -> None:
 
 def dumps_report(doc: dict) -> str:
     """The text of json.dumps(doc, sort_keys=True, separators=(",", ": "),
-    indent=1) plus a newline.  Large matrices from instance_to_dict and
+    indent=1) plus a newline.  Matrices from instance_to_dict and
     report_to_dict, and the extreme points of report_to_dict, are written
-    from their arrays, each distinct value encoded once; other rows of
-    scalars go through json's C encoder."""
+    from their arrays, large ones with each distinct value encoded once;
+    other rows of scalars go through json's C encoder."""
     out: list[str] = []
     _layout(doc, "\n", out)
     out.append("\n")

@@ -62,17 +62,12 @@ _COMPOSITION_CAP = 6
 
 
 def naive_star(a: TropMatrix, terms: int | None = None) -> TropMatrix:
-    """Kleene star as the literal truncated power sum I + A + ... + A^(r-1)."""
+    """Kleene star as the truncated power sum I + A + ... + A^(r-1), over ``powers``."""
     tr = trace_function(a)
     if tr.raw > _FEAS_SLACK:
         raise StarDiverges(f"star diverges: trace function value {tr.raw}", tr)
     r = a.rows if terms is None else terms
-    out = TropMatrix.identity(a.rows)
-    power = TropMatrix.identity(a.rows)
-    for _ in range(r - 1):
-        power = mat_mul(power, a)
-        out = mat_add(out, power)
-    return out
+    return reduce(mat_add, powers(a, r - 1), TropMatrix.identity(a.rows))
 
 
 def naive_binomial(a: TropMatrix, b: TropMatrix, p: int) -> TropMatrix:

@@ -1,4 +1,6 @@
 import json
+import sys
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -9,16 +11,16 @@ from hypothesis import strategies as st
 
 import tropsched as ts
 from tropsched import io_cli
-from tropsched.errors import InvalidInstance, ParseError
+from tropsched.errors import InvalidInstance, ParseError, TropicalError
 from tropsched.io_cli import (
     _ArrayRows,
-    _PointRows,
     _solution_to_dict,
     _vector_to_list,
     dumps_report,
     instance_from_dict,
     instance_to_dict,
     load_report,
+    main,
     parse_instance,
     report_to_dict,
     report_to_text,
@@ -515,6 +517,28 @@ def test_cli_internal_consistency_exit_code(monkeypatch, capsys):
     assert "internal consistency" in capsys.readouterr().err
 
 
+def test_cli_other_tropical_error_exit_code(monkeypatch, capsys):
+    class Unhandled(TropicalError):
+        pass
+
+    def boom(_inst):
+        raise Unhandled("no exit code of its own")
+
+    monkeypatch.setattr(io_cli, "solve", boom)
+    assert run_cli(["solve", FIXTURES["worked"]]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "error: no exit code of its own\n" and captured.out == ""
+
+
+def test_main_exits_with_run_cli_code(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["tropsched", "solve", FIXTURES["worked"]])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    golden = Path(__file__).resolve().parent / "golden" / "worked_1x1.solve.stdout"
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_cli_verify_disagreement_exit_code(monkeypatch, capsys):
     from tropsched import io_cli
     from tropsched.oracle import GridSearchResult
@@ -664,6 +688,32 @@ _DISTINCT = np.random.default_rng(0).uniform(-1e9, 1e9, 120 * 120).tolist()
 
 @settings(max_examples=200, deadline=None)
 @given(
+    shape=st.tuples(st.integers(1, 9), st.integers(1, 9)) | st.sampled_from([(1, 200), (200, 1)]),
+    values=st.lists(
+        st.sampled_from([-0.0, 0.0, NEG_INF, 5e-324, 1e22, 1e300, -1e300])
+        | st.integers(-3000, 3000).map(lambda k: k / 3),
+        min_size=1,
+        max_size=49,
+    ),
+    strided=st.booleans(),
+)
+@example(shape=(8, 8), values=[-0.0, 0.0, NEG_INF, 5e-324, 1e22, 1e300, 1 / 3], strided=True)
+def test_words_match_on_both_sources(shape, values, strided):
+    # values, repeated in order, fill the array, or a strided view into a
+    # larger one; each source gives every entry's json text, null for -inf.
+    data = np.resize(np.array(values), shape)
+    if strided:
+        outer = np.full((shape[0] + 1, 2 * shape[1]), 2.5)
+        outer[1:, ::2] = data
+        data = outer[1:, ::2]
+    expected = [["null" if x == NEG_INF else json.dumps(x) for x in row] for row in data.tolist()]
+    for threshold in (0, data.size + 1):
+        with patch.object(io_cli, "_TABLE_MIN_ENTRIES", threshold):
+            assert io_cli._words(data) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
     shape=st.tuples(st.integers(1, 7), st.integers(1, 7)) | st.just((120, 120)),
     values=st.lists(_matrix_entries, min_size=1, max_size=49),
     block=st.sampled_from([None, "x", "y"]),
@@ -686,7 +736,7 @@ def test_array_rows_match_stdlib(shape, values, block):
         data = view
     matrix = TropMatrix._wrap(data)
     expected = _stdlib_text({"k": matrix.to_rows()})
-    # Both the per-entry path and the value table, whatever the size.
+    # Both word sources, the C encoder and the value table, whatever the size.
     for threshold in (0, io_cli._TABLE_MIN_ENTRIES, data.size + 1):
         with patch.object(io_cli, "_TABLE_MIN_ENTRIES", threshold):
             assert dumps_report({"k": _ArrayRows.of(matrix)}) == expected
@@ -716,10 +766,10 @@ def test_point_rows_match_stdlib(shape, values):
         for row in data
     ]
     plain = [_solution_to_dict(p) for p in points]
-    rows = _PointRows.of(points)
+    rows = _ArrayRows.of_points(points)
     assert rows == plain
     expected = _stdlib_text({"k": plain})
-    # Both the per-entry walk and the value table, whatever the size.
+    # Both word sources, the C encoder and the value table, whatever the size.
     for threshold in (0, io_cli._TABLE_MIN_ENTRIES, data.size + 1):
         with patch.object(io_cli, "_TABLE_MIN_ENTRIES", threshold):
             assert dumps_report({"k": rows}) == expected

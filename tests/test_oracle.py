@@ -27,6 +27,24 @@ def test_naive_star_examples():
         naive_star(TropMatrix([[0.5]]))
 
 
+def test_naive_star_is_the_explicit_power_join():
+    # Thirds with -0.0 entries: the join starts from I and adds A itself,
+    # not I A, so the sign of each zero entry of the star is A's.
+    rng = np.random.default_rng(11)
+    n = 4
+    raw = -(rng.integers(0, 7, (n, n)) / 3)
+    raw[rng.random((n, n)) < 0.2] = NEG_INF
+    assert np.signbit(raw[raw == 0]).sum() >= 2
+    a = TropMatrix._wrap(raw)
+    for terms in (0, 1, n, 2 * n):
+        expected, power = TropMatrix.identity(n), a
+        for _ in range(terms - 1):
+            expected = mat_add(expected, power)
+            power = mat_mul(power, a)
+        star = naive_star(a, terms)
+        assert np.array_equal(star.raw.view(np.int64), expected.raw.view(np.int64))
+
+
 def test_naive_binomial_examples(rng):
     a, b = rand_mat(rng, 2, 2), rand_mat(rng, 2, 2)
     assert naive_binomial(a, b, 1) == mat_add(a, b)

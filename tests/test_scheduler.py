@@ -254,6 +254,12 @@ def test_infeasible_stage_two_has_no_schedules():
         ts.extreme_points(s2, inst)
 
 
+def test_stage2_infeasible_fixture_has_no_generators():
+    s2 = ts.solve(parse_instance(FIXTURES["stage2_infeasible"])).stage2
+    assert not s2.feasible
+    assert s2.x_generator is None and s2.y_generator is None
+
+
 def test_stage2_infeasible_through_box_term():
     # The trace condition holds (Tr = 0) but the deadline box cannot be
     # reached through the combined lags: the path term alone exceeds the
